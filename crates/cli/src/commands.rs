@@ -467,7 +467,8 @@ fn render_serve_sim(
             let findings = set.scrub_all();
             let _ = writeln!(out, "  -- maintenance scrub: {findings} findings");
         }
-        let served = set.serve(query)?;
+        let (served, _) = set.serve(std::slice::from_ref(query), &[qi as u64])?;
+        let served = served.into_iter().next().ok_or(FerexError::Empty)?;
         let nearest = served.outcome.nearest;
         let via = match served.source {
             ServeSource::Replica(i) => format!("replica {i}"),

@@ -175,8 +175,10 @@ pub fn run_chaos(spec: &ChaosSpec) -> ChaosCurve {
             if spec.scrub_period > 0 && qi > 0 && qi % spec.scrub_period == 0 {
                 set.scrub_all();
             }
-            let served = set.serve(query).expect("in-range by construction");
-            hits += usize::from(served.outcome.nearest == *want);
+            let (served, _) = set
+                .serve(std::slice::from_ref(query), &[qi as u64])
+                .expect("in-range by construction");
+            hits += usize::from(served.first().is_some_and(|s| s.outcome.nearest == *want));
         }
         let stats = set.stats();
         points.push(ChaosPoint {

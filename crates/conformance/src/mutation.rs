@@ -130,12 +130,15 @@ fn checkpoint_matches(
     if ids != rebuilt.live_ids() || ids != mirror_ids {
         return false;
     }
-    for (qi, q) in probes.iter().enumerate() {
-        // Fixed query ids keep the sensing-noise stream (a no-op under the
-        // corner config) identical on both sides.
-        let (Ok(a), Ok(b)) = (live.search_at(q, qi as u64), rebuilt.search_at(q, qi as u64)) else {
-            return false;
-        };
+    // Fixed query ids keep the sensing-noise stream (a no-op under the
+    // corner config) identical on both sides.
+    let qids: Vec<u64> = (0..probes.len() as u64).collect();
+    let (Ok(live_out), Ok(rebuilt_out)) =
+        (live.search_batch_at(probes, &qids), rebuilt.search_batch_at(probes, &qids))
+    else {
+        return false;
+    };
+    for (a, b) in live_out.iter().zip(&rebuilt_out) {
         for &id in &ids {
             let (Some(sa), Some(sb)) = (live.slot_of(id), rebuilt.slot_of(id)) else {
                 return false;
@@ -229,12 +232,15 @@ fn run_mutation_inner(spec: &MutationSpec) -> Result<MutationScenario, FerexErro
             // any id at that distance is a tie-safe hit.
             let id = pick(11).ok_or(FerexError::Empty)?;
             let q = mirror.get(&id).cloned().ok_or(FerexError::UnknownId { id })?;
-            let served = set.serve(&q)?;
+            // The search count doubles as the query id: one fresh sensing
+            // stream per served query.
+            let (served, _) = set.serve(std::slice::from_ref(&q), &[searches as u64])?;
+            let nearest = served.first().ok_or(FerexError::Empty)?.outcome.nearest;
             let best =
                 mirror.values().map(|v| spec.metric.vector_distance(&q, v)).min().unwrap_or(0);
             let got = set
                 .replica(0)
-                .id_at(served.outcome.nearest)
+                .id_at(nearest)
                 .and_then(|gid| mirror.get(&gid))
                 .map(|v| spec.metric.vector_distance(&q, v));
             hits += usize::from(got == Some(best));

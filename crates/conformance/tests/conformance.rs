@@ -15,13 +15,33 @@
 use ferex_analog::lta::LtaParams;
 use ferex_conformance::harness::{encoding_for, gen_unambiguous_queries, gen_vectors};
 use ferex_conformance::{run_sweep, standard_report, BackendKind, FaultKind, Oracle, SweepSpec};
-use ferex_core::{Backend, CircuitConfig, DistanceMetric, FerexArray, SearchOutcome};
+use ferex_core::{Backend, CircuitConfig, DistanceMetric, FerexArray, FerexError, SearchOutcome};
 use ferex_fefet::{FaultPlan, Technology, VariationModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn conformance_seed() -> u64 {
     std::env::var("FEREX_CONFORMANCE_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(42)
+}
+
+/// One search as a batch of one with query id `qid`.
+fn search_at(array: &FerexArray, q: &[u32], qid: u64) -> Result<SearchOutcome, FerexError> {
+    array.search_batch_at(&[q.to_vec()], &[qid]).map(|mut out| out.remove(0))
+}
+
+/// One k-nearest search as a batch of one with query id `qid`.
+fn search_k_at(
+    array: &FerexArray,
+    q: &[u32],
+    k: usize,
+    qid: u64,
+) -> Result<Vec<usize>, FerexError> {
+    array.search_k_batch_at(&[q.to_vec()], k, &[qid]).map(|mut out| out.remove(0))
+}
+
+/// Query ids `0..n`.
+fn qids(n: usize) -> Vec<u64> {
+    (0..n as u64).collect()
 }
 
 fn array_with(metric: DistanceMetric, bits: u32, dim: usize, backend: Backend) -> FerexArray {
@@ -65,25 +85,26 @@ fn ideal_backend_is_bit_exact_against_oracle() {
             assert_eq!(array.distances(q).unwrap(), want, "{metric} @{bits}b distances");
             // Tie policy matches end to end: lowest index wins every rank.
             assert_eq!(
-                array.search(q).unwrap().nearest,
+                search_at(&array, q, 0).unwrap().nearest,
                 oracle.nearest(q),
                 "{metric} @{bits}b top-1"
             );
             for k in 1..=3 {
                 assert_eq!(
-                    array.search_k(q, k).unwrap(),
+                    search_k_at(&array, q, k, 0).unwrap(),
                     oracle.nearest_k(q, k),
                     "{metric} @{bits}b top-{k}"
                 );
             }
         }
 
-        // Serving-path equivalence: batched == sequential, bit for bit.
-        let batched = array.search_batch(&queries).unwrap();
+        // Serving-path equivalence: one batch == batches of one, bit for
+        // bit.
+        let batched = array.search_batch_at(&queries, &qids(queries.len())).unwrap();
         let sequential: Vec<SearchOutcome> = queries
             .iter()
             .enumerate()
-            .map(|(i, q)| array.search_at(q, i as u64).unwrap())
+            .map(|(i, q)| search_at(&array, q, i as u64).unwrap())
             .collect();
         assert_eq!(batched, sequential, "{metric} @{bits}b batch path");
     }
@@ -122,12 +143,13 @@ fn stochastic_backends_match_oracle_at_the_fault_free_corner() {
         for q in &queries {
             let want: Vec<f64> = oracle.distances(q).iter().map(|&d| d as f64).collect();
             assert_eq!(noisy.distances(q).unwrap(), want, "{metric} noisy corner");
-            assert_eq!(noisy.search(q).unwrap().nearest, oracle.nearest(q), "{metric} noisy top-1");
+            let nearest = search_at(&noisy, q, 0).unwrap().nearest;
+            assert_eq!(nearest, oracle.nearest(q), "{metric} noisy top-1");
             for (dc, w) in circuit.distances(q).unwrap().iter().zip(&want) {
                 assert!((dc - w).abs() < 0.2, "{metric} circuit corner: {dc} vs {w}");
             }
             assert_eq!(
-                circuit.search(q).unwrap().nearest,
+                search_at(&circuit, q, 0).unwrap().nearest,
                 oracle.nearest(q),
                 "{metric} circuit top-1 (unambiguous query)"
             );
@@ -203,11 +225,12 @@ fn batched_and_sequential_serving_agree_under_fault_plans() {
         let mut a = array_with(DistanceMetric::Hamming, bits, dim, kind.backend(cfg));
         a.store_all(stored.iter().cloned()).unwrap();
         a.program();
-        let batched = a.search_batch(&queries).unwrap();
-        let k_batched = a.search_k_batch(&queries, k).unwrap();
+        let ids = qids(queries.len());
+        let batched = a.search_batch_at(&queries, &ids).unwrap();
+        let k_batched = a.search_k_batch_at(&queries, k, &ids).unwrap();
         for (i, q) in queries.iter().enumerate() {
-            assert_eq!(batched[i], a.search_at(q, i as u64).unwrap(), "{kind:?} query {i}");
-            assert_eq!(k_batched[i], a.search_k_at(q, k, i as u64).unwrap(), "{kind:?} top-{k}");
+            assert_eq!(batched[i], search_at(&a, q, i as u64).unwrap(), "{kind:?} query {i}");
+            assert_eq!(k_batched[i], search_k_at(&a, q, k, i as u64).unwrap(), "{kind:?} top-{k}");
         }
     }
 }

@@ -22,18 +22,18 @@
 //! ([`FerexArray::store`], [`FerexArray::update`], …) mark the physical
 //! state stale; [`FerexArray::program`] is the explicit, idempotent
 //! transition that instantiates it (crossbar cells or variation samples).
-//! Every read — [`FerexArray::distances`], [`FerexArray::search`],
-//! [`FerexArray::search_batch`] — then takes `&self`, so a programmed array
-//! can serve queries from many threads concurrently. Searching a stochastic
-//! backend whose state is stale returns [`FerexError::NotProgrammed`]; the
-//! ideal backend has no physical state and never needs programming.
+//! Every read — [`FerexArray::distances`], [`FerexArray::distances_batch`],
+//! [`FerexArray::search_batch_at`], [`FerexArray::search_k_batch_at`] —
+//! then takes `&self`, so a programmed array can serve queries from many
+//! threads concurrently. Searching a stochastic backend whose state is
+//! stale returns [`FerexError::NotProgrammed`]; the ideal backend has no
+//! physical state and never needs programming.
 //!
-//! Sensing noise (the LTA offset) is drawn from a generator derived per
-//! query: [`FerexArray::search_at`] seeds it from the backend seed and the
-//! caller's query id, [`FerexArray::search`] assigns ids from an internal
-//! counter, and [`FerexArray::search_batch`] uses the batch index — so on a
-//! freshly programmed array, a loop of single searches and one batched call
-//! produce bit-identical outcomes.
+//! Every search is a batch with one caller-chosen query id per entry; a
+//! single search is a batch of one. Sensing noise (the LTA offset) is drawn
+//! from a generator seeded by the backend seed and the query id alone, so
+//! any grouping of the same `(query, qid)` pairs into batches produces
+//! bit-identical outcomes.
 
 use crate::encoding::CellEncoding;
 use crate::error::FerexError;
@@ -56,7 +56,6 @@ use ferex_fefet::{CellFault, CellReadback, CellVerify, FaultPlan, Technology, Va
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Domain-separation salt for per-query sensing streams, keeping them
 /// disjoint from the per-tile seed derivation that feeds the same mixer.
@@ -153,12 +152,12 @@ pub struct SearchOutcome {
 /// array.store(vec![0, 1, 2, 3])?;
 /// array.store(vec![3, 2, 1, 0])?;
 /// array.program(); // explicit write→search transition (no-op for Ideal)
-/// let out = array.search(&[0, 1, 2, 2])?;
-/// assert_eq!(out.nearest, 0);
+/// let out = array.search_batch_at(&[vec![0, 1, 2, 2]], &[0])?;
+/// assert_eq!(out[0].nearest, 0);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FerexArray {
     tech: Technology,
     encoding: CellEncoding,
@@ -183,10 +182,6 @@ pub struct FerexArray {
     seed: u64,
     /// Generator consumed by [`FerexArray::program`] (variation sampling).
     program_rng: StdRng,
-    /// Monotone query-id source for [`FerexArray::search`] /
-    /// [`FerexArray::search_k`]; atomic so issuing searches needs only
-    /// `&self`.
-    query_counter: AtomicU64,
     /// Self-healing policy; `None` keeps the array byte-identical to the
     /// policy-free behavior (no spares, no sentinels, no verification).
     repair: Option<RepairPolicy>,
@@ -202,32 +197,6 @@ pub struct FerexArray {
     /// Online-mutation state (`None` keeps the legacy positional-mutator
     /// behavior byte-identical); see [`FerexArray::enable_mutation`].
     mutation: Option<MutationState>,
-}
-
-impl Clone for FerexArray {
-    fn clone(&self) -> Self {
-        FerexArray {
-            tech: self.tech.clone(),
-            encoding: self.encoding.clone(),
-            dim: self.dim,
-            backend: self.backend.clone(),
-            stored: self.stored.clone(),
-            codes: self.codes.clone(),
-            crossbar: self.crossbar.clone(),
-            noisy_samples: self.noisy_samples.clone(),
-            fault_map: self.fault_map.clone(),
-            aged_vth: self.aged_vth.clone(),
-            seed: self.seed,
-            program_rng: self.program_rng.clone(),
-            query_counter: AtomicU64::new(self.query_counter.load(Ordering::Relaxed)),
-            repair: self.repair.clone(),
-            row_map: self.row_map.clone(),
-            spare_state: self.spare_state.clone(),
-            counters: self.counters,
-            program_report: self.program_report.clone(),
-            mutation: self.mutation.clone(),
-        }
-    }
 }
 
 impl FerexArray {
@@ -255,7 +224,6 @@ impl FerexArray {
             aged_vth: None,
             seed,
             program_rng: StdRng::seed_from_u64(seed),
-            query_counter: AtomicU64::new(0),
             repair: None,
             row_map: Vec::new(),
             spare_state: Vec::new(),
@@ -1068,64 +1036,19 @@ impl FerexArray {
         Ok(per_chunk.into_iter().flatten().collect())
     }
 
-    /// One associative search with an explicit query id: senses all rows
-    /// and reports the LTA's nearest row, drawing sensing noise from the
-    /// stream derived for `qid`. The deterministic building block —
-    /// `search_at(q, i)` always reproduces the same outcome on the same
-    /// programmed array, from any thread.
-    ///
-    /// # Errors
-    ///
-    /// As [`FerexArray::distances`].
-    pub fn search_at(&self, query: &[u32], qid: u64) -> Result<SearchOutcome, FerexError> {
-        let distances = self.distances(query)?;
-        Ok(self.sense_nearest(distances, qid))
-    }
-
     fn sense_nearest(&self, distances: Vec<f64>, qid: u64) -> SearchOutcome {
         let currents = self.to_currents(&distances);
         let decision = self.lta().sense(&currents, &mut self.rng_for_query(qid));
         SearchOutcome { distances, nearest: decision.loser }
     }
 
-    /// One associative search: [`FerexArray::search_at`] with the next id
-    /// from the array's internal query counter (fresh sensing noise per
-    /// call, no `&mut` needed).
-    ///
-    /// # Errors
-    ///
-    /// As [`FerexArray::distances`].
-    pub fn search(&self, query: &[u32]) -> Result<SearchOutcome, FerexError> {
-        let qid = self.query_counter.fetch_add(1, Ordering::Relaxed);
-        self.search_at(query, qid)
-    }
-
-    /// Searches a whole batch, assigning query ids `0..queries.len()`:
-    /// equivalent to `queries.iter().enumerate().map(|(i, q)|
-    /// self.search_at(q, i as u64))`, with distances served through the
-    /// batched fast path of [`FerexArray::distances_batch`]. Pure in
-    /// `&self` — concurrent batches over a shared array return identical
-    /// results.
-    ///
-    /// # Errors
-    ///
-    /// As [`FerexArray::distances_batch`].
-    pub fn search_batch(&self, queries: &[Vec<u32>]) -> Result<Vec<SearchOutcome>, FerexError> {
-        let distances = self.distances_batch(queries)?;
-        Ok(distances
-            .into_iter()
-            .enumerate()
-            .map(|(i, d)| self.sense_nearest(d, i as u64))
-            .collect())
-    }
-
-    /// Searches a whole batch with an explicit query id per entry:
-    /// equivalent to `queries.iter().zip(qids).map(|(q, &id)|
-    /// self.search_at(q, id))`, with distances served through the batched
-    /// fast path. Because sensing noise is keyed purely on the query id,
-    /// outcomes are bit-identical to the individual searches regardless of
-    /// how requests were grouped into batches — the property the serving
-    /// loop's batch former relies on.
+    /// Searches a batch with an explicit query id per entry: senses all
+    /// rows through [`FerexArray::distances_batch`] and reports the LTA's
+    /// nearest row per query, drawing sensing noise from the stream derived
+    /// for that query's id. Because the noise is keyed purely on the id,
+    /// outcomes are independent of how queries are grouped into batches —
+    /// a batch of one reproduces the same `(query, qid)` pair inside any
+    /// larger batch, from any thread.
     ///
     /// # Errors
     ///
@@ -1187,42 +1110,24 @@ impl FerexArray {
         Ok(self.lta().sense_k(&currents, k, &mut self.rng_for_query(qid)))
     }
 
-    /// k-nearest search via iterative LTA masking, with an explicit query
-    /// id (see [`FerexArray::search_at`]).
+    /// k-nearest search via iterative LTA masking for a batch, with an
+    /// explicit query id per entry (see [`FerexArray::search_batch_at`]).
     ///
     /// # Errors
     ///
-    /// As [`FerexArray::distances`]; [`FerexError::InvalidK`] when `k` is
-    /// zero or exceeds the number of stored vectors.
-    pub fn search_k_at(&self, query: &[u32], k: usize, qid: u64) -> Result<Vec<usize>, FerexError> {
-        let distances = self.distances(query)?;
-        self.sense_k(&distances, k, qid)
-    }
-
-    /// k-nearest search via iterative LTA masking, drawing the query id
-    /// from the internal counter.
-    ///
-    /// # Errors
-    ///
-    /// As [`FerexArray::search_k_at`].
-    pub fn search_k(&self, query: &[u32], k: usize) -> Result<Vec<usize>, FerexError> {
-        let qid = self.query_counter.fetch_add(1, Ordering::Relaxed);
-        self.search_k_at(query, k, qid)
-    }
-
-    /// k-nearest search for a whole batch, assigning query ids
-    /// `0..queries.len()`; distances come through the batched fast path.
-    ///
-    /// # Errors
-    ///
-    /// As [`FerexArray::distances_batch`] and [`FerexArray::search_k_at`].
-    pub fn search_k_batch(
+    /// As [`FerexArray::search_batch_at`]; [`FerexError::InvalidK`] when
+    /// `k` is zero or exceeds the number of rows served.
+    pub fn search_k_batch_at(
         &self,
         queries: &[Vec<u32>],
         k: usize,
+        qids: &[u64],
     ) -> Result<Vec<Vec<usize>>, FerexError> {
+        if qids.len() != queries.len() {
+            return Err(FerexError::DimensionMismatch { expected: queries.len(), got: qids.len() });
+        }
         let distances = self.distances_batch(queries)?;
-        distances.into_iter().enumerate().map(|(i, d)| self.sense_k(&d, k, i as u64)).collect()
+        distances.iter().zip(qids).map(|(d, &qid)| self.sense_k(d, k, qid)).collect()
     }
 
     // ------------------------------------------------------------------
@@ -2337,6 +2242,10 @@ impl MutableNode for FerexArray {
     fn wear(&self) -> WearSummary {
         FerexArray::wear(self)
     }
+
+    fn mutation_enabled(&self) -> bool {
+        FerexArray::mutation_enabled(self)
+    }
 }
 
 /// Per-row tally of one write-verify pass.
@@ -2427,6 +2336,21 @@ mod tests {
     use crate::dm::DistanceMatrix;
     use crate::sizing::{find_minimal_cell, SizingOptions};
 
+    /// One search as a batch of one with query id `qid`.
+    fn search_at(a: &FerexArray, q: &[u32], qid: u64) -> Result<SearchOutcome, FerexError> {
+        a.search_batch_at(&[q.to_vec()], &[qid]).map(|mut out| out.remove(0))
+    }
+
+    /// One k-nearest search as a batch of one with query id `qid`.
+    fn search_k_at(
+        a: &FerexArray,
+        q: &[u32],
+        k: usize,
+        qid: u64,
+    ) -> Result<Vec<usize>, FerexError> {
+        a.search_k_batch_at(&[q.to_vec()], k, &[qid]).map(|mut out| out.remove(0))
+    }
+
     fn hamming_array(dim: usize, backend: Backend) -> FerexArray {
         let dm = DistanceMatrix::from_metric(DistanceMetric::Hamming, 2);
         let report = find_minimal_cell(&dm, &SizingOptions::default()).expect("sizes");
@@ -2440,7 +2364,7 @@ mod tests {
         a.store(vec![3, 2, 1, 0]).unwrap();
         a.store(vec![0, 0, 0, 0]).unwrap();
         let q = [0, 1, 2, 0];
-        let out = a.search(&q).unwrap();
+        let out = search_at(&a, &q, 0).unwrap();
         let m = DistanceMetric::Hamming;
         for (r, stored) in a.stored().iter().enumerate() {
             let expected = m.vector_distance(&q, stored) as f64;
@@ -2465,8 +2389,8 @@ mod tests {
         }
         let q = [0, 1, 2, 3, 1, 1];
         circuit.program();
-        let oi = ideal.search(&q).unwrap();
-        let oc = circuit.search(&q).unwrap();
+        let oi = search_at(&ideal, &q, 0).unwrap();
+        let oc = search_at(&circuit, &q, 0).unwrap();
         assert_eq!(oi.nearest, oc.nearest);
         for (a, b) in oi.distances.iter().zip(&oc.distances) {
             assert!((a - b).abs() < 0.1, "ideal {a} vs circuit {b}");
@@ -2479,7 +2403,7 @@ mod tests {
         a.store(vec![0, 0, 0, 0]).unwrap(); // d = 4 from q
         a.store(vec![1, 1, 1, 1]).unwrap(); // d = 0
         a.store(vec![1, 1, 0, 0]).unwrap(); // d = 2
-        let top = a.search_k(&[1, 1, 1, 1], 3).unwrap();
+        let top = search_k_at(&a, &[1, 1, 1, 1], 3, 0).unwrap();
         assert_eq!(top, vec![1, 2, 0]);
     }
 
@@ -2492,7 +2416,7 @@ mod tests {
         let enc = find_minimal_cell(&dm, &SizingOptions::default()).unwrap().encoding;
         a.reconfigure(enc).unwrap();
         let q = [0, 3, 0];
-        let out = a.search(&q).unwrap();
+        let out = search_at(&a, &q, 0).unwrap();
         let m = DistanceMetric::Manhattan;
         for (r, stored) in a.stored().iter().enumerate() {
             assert_eq!(out.distances[r], m.vector_distance(&q, stored) as f64);
@@ -2510,7 +2434,7 @@ mod tests {
             a.store(vec![0, 1, 4]),
             Err(FerexError::SymbolOutOfRange { value: 4, .. })
         ));
-        assert!(matches!(a.search(&[0, 0, 0]), Err(FerexError::Empty)));
+        assert!(matches!(search_at(&a, &[0, 0, 0], 0), Err(FerexError::Empty)));
     }
 
     #[test]
@@ -2528,8 +2452,8 @@ mod tests {
         }
         let q = [0, 1, 2, 3, 3, 2, 1, 0];
         noisy.program();
-        let oi = ideal.search(&q).unwrap();
-        let on = noisy.search(&q).unwrap();
+        let oi = search_at(&ideal, &q, 0).unwrap();
+        let on = search_at(&noisy, &q, 0).unwrap();
         assert_eq!(oi.distances, on.distances);
         assert_eq!(oi.nearest, on.nearest);
     }
@@ -2596,7 +2520,7 @@ mod tests {
         assert_eq!(a.len(), 2);
         assert_eq!(a.stored()[1], vec![2, 2]);
         a.update(0, vec![3, 3]).unwrap();
-        let out = a.search(&[3, 3]).unwrap();
+        let out = search_at(&a, &[3, 3], 0).unwrap();
         assert_eq!(out.nearest, 0);
         assert_eq!(out.distances[0], 0.0);
         // Invalid update leaves the array unchanged.
@@ -2612,7 +2536,7 @@ mod tests {
             a.store(vec![0; 8]).unwrap();
             a.store(vec![1; 8]).unwrap();
             a.program();
-            a.search(&[0, 0, 0, 0, 1, 1, 1, 1]).unwrap()
+            search_at(&a, &[0, 0, 0, 0, 1, 1, 1, 1], 0).unwrap()
         };
         assert_eq!(mk(), mk());
     }
@@ -2625,18 +2549,18 @@ mod tests {
     fn stale_stochastic_state_is_rejected_until_programmed() {
         let mut a = hamming_array(4, noisy_cfg(11));
         a.store(vec![0, 1, 2, 3]).unwrap();
-        assert_eq!(a.search(&[0, 1, 2, 3]), Err(FerexError::NotProgrammed));
+        assert_eq!(search_at(&a, &[0, 1, 2, 3], 0), Err(FerexError::NotProgrammed));
         assert!(!a.is_programmed());
         a.program();
         assert!(a.is_programmed());
-        assert!(a.search(&[0, 1, 2, 3]).is_ok());
+        assert!(search_at(&a, &[0, 1, 2, 3], 0).is_ok());
         // Any mutation re-stales the state…
         a.store(vec![3, 3, 3, 3]).unwrap();
         assert_eq!(a.distances(&[0; 4]), Err(FerexError::NotProgrammed));
         // …and program() is idempotent once re-run.
         a.program();
         a.program();
-        assert!(a.search_k(&[0; 4], 2).is_ok());
+        assert!(search_k_at(&a, &[0; 4], 2, 0).is_ok());
     }
 
     #[test]
@@ -2654,11 +2578,11 @@ mod tests {
         let mut a = hamming_array(2, Backend::Ideal);
         a.store(vec![0, 0]).unwrap();
         a.store(vec![1, 1]).unwrap();
-        assert_eq!(a.search_k(&[0, 0], 0), Err(FerexError::InvalidK { k: 0, rows: 2 }));
-        assert_eq!(a.search_k(&[0, 0], 3), Err(FerexError::InvalidK { k: 3, rows: 2 }));
+        assert_eq!(search_k_at(&a, &[0, 0], 0, 0), Err(FerexError::InvalidK { k: 0, rows: 2 }));
+        assert_eq!(search_k_at(&a, &[0, 0], 3, 0), Err(FerexError::InvalidK { k: 3, rows: 2 }));
         // An empty array still reports Empty, not InvalidK.
         let empty = hamming_array(2, Backend::Ideal);
-        assert_eq!(empty.search_k(&[0, 0], 1), Err(FerexError::Empty));
+        assert_eq!(search_k_at(&empty, &[0, 0], 1, 0), Err(FerexError::Empty));
     }
 
     fn batch_fixture(backend: Backend) -> (FerexArray, Vec<Vec<u32>>) {
@@ -2680,39 +2604,38 @@ mod tests {
             Backend::Noisy(Box::new(CircuitConfig { seed: 77, ..Default::default() })),
         ] {
             let (a, queries) = batch_fixture(backend.clone());
-            let batched = a.search_batch(&queries).unwrap();
-            let sequential: Vec<SearchOutcome> = queries
-                .iter()
-                .enumerate()
-                .map(|(i, q)| a.search_at(q, i as u64).unwrap())
-                .collect();
+            let qids: Vec<u64> = (0..queries.len() as u64).map(|i| i * 7 + 3).collect();
+            let batched = a.search_batch_at(&queries, &qids).unwrap();
+            let sequential: Vec<SearchOutcome> =
+                queries.iter().zip(&qids).map(|(q, &qid)| search_at(&a, q, qid).unwrap()).collect();
             assert_eq!(batched, sequential, "backend {backend:?}");
-            // On a fresh array the counter starts at 0, so plain search()
-            // in a loop reproduces the batch too.
-            let counted: Vec<SearchOutcome> =
-                queries.iter().map(|q| a.search(q).unwrap()).collect();
-            assert_eq!(batched, counted, "counter path, backend {backend:?}");
         }
     }
 
     #[test]
     fn batch_search_k_is_bit_identical_to_sequential() {
         let (a, queries) = batch_fixture(noisy_cfg(13));
-        let batched = a.search_k_batch(&queries, 3).unwrap();
+        let qids: Vec<u64> = (0..queries.len() as u64).collect();
+        let batched = a.search_k_batch_at(&queries, 3, &qids).unwrap();
         for (i, q) in queries.iter().enumerate() {
-            assert_eq!(batched[i], a.search_k_at(q, 3, i as u64).unwrap());
+            assert_eq!(batched[i], search_k_at(&a, q, 3, i as u64).unwrap());
         }
+        assert!(matches!(
+            a.search_k_batch_at(&queries, 3, &qids[1..]),
+            Err(FerexError::DimensionMismatch { .. })
+        ));
     }
 
     #[test]
     fn batch_validates_every_query_before_serving() {
         let (a, mut queries) = batch_fixture(Backend::Ideal);
         queries.last_mut().unwrap()[0] = 9; // out of range, last query
+        let qids: Vec<u64> = (0..queries.len() as u64).collect();
         assert!(matches!(
-            a.search_batch(&queries),
+            a.search_batch_at(&queries, &qids),
             Err(FerexError::SymbolOutOfRange { value: 9, .. })
         ));
-        assert_eq!(a.search_batch(&[]).unwrap(), Vec::<SearchOutcome>::new());
+        assert_eq!(a.search_batch_at(&[], &[]).unwrap(), Vec::<SearchOutcome>::new());
     }
 
     /// Deterministic fault-study corner: no variation, ideal LTA, so every
@@ -2874,7 +2797,7 @@ mod tests {
         a.store(vec![1, 0]).unwrap();
         a.program();
         let wins: Vec<usize> =
-            (0..64).map(|qid| a.search_at(&[0, 0], qid).unwrap().nearest).collect();
+            (0..64).map(|qid| search_at(&a, &[0, 0], qid).unwrap().nearest).collect();
         assert!(wins.contains(&0) && wins.contains(&1), "offsets look frozen: {wins:?}");
     }
 
@@ -2940,7 +2863,7 @@ mod tests {
         // the 200 mV decision margin: each cell's ON/OFF decision is exact
         // and only the ±8 % resistor spread remains on the magnitude.
         let q = [0, 1, 2, 3];
-        let out = a.search(&q).unwrap();
+        let out = search_at(&a, &q, 0).unwrap();
         for (r, stored) in a.stored().iter().enumerate() {
             let expected = DistanceMetric::Hamming.vector_distance(&q, stored) as f64;
             assert!(
@@ -2966,7 +2889,7 @@ mod tests {
             let report = a.program_verified().unwrap();
             assert!(!report.rows_remapped.is_empty(), "seed must fault at least one row");
             let q = [0, 1, 2, 3];
-            let out = a.search(&q).unwrap();
+            let out = search_at(&a, &q, 0).unwrap();
             assert_eq!(out.distances.len(), 6, "results stay keyed by logical row id");
             for (r, stored) in a.stored().iter().enumerate() {
                 let expected = DistanceMetric::Hamming.vector_distance(&q, stored) as f64;
@@ -2997,12 +2920,15 @@ mod tests {
         assert_eq!(a.row_health(0), RowHealth::Remapped { spare });
         assert_eq!(a.quarantine_row(1), Err(FerexError::SparesExhausted { row: 1, spares: 1 }));
         assert_eq!(a.row_health(1), RowHealth::Quarantined);
-        let out = a.search(&[0, 1, 2, 3]).unwrap();
+        let out = search_at(&a, &[0, 1, 2, 3], 0).unwrap();
         assert!(out.distances[1].is_infinite(), "excluded row reads ∞");
         assert_eq!(out.distances[0], 0.0, "remapped row still serves its vector");
         // k-nearest sees 5 active rows, not 6.
-        assert_eq!(a.search_k(&[0, 1, 2, 3], 5).unwrap().len(), 5);
-        assert_eq!(a.search_k(&[0, 1, 2, 3], 6), Err(FerexError::InvalidK { k: 6, rows: 5 }));
+        assert_eq!(search_k_at(&a, &[0, 1, 2, 3], 5, 0).unwrap().len(), 5);
+        assert_eq!(
+            search_k_at(&a, &[0, 1, 2, 3], 6, 0),
+            Err(FerexError::InvalidK { k: 6, rows: 5 })
+        );
         let h = a.health();
         assert_eq!((h.spares_in_use, h.rows_quarantined_now, h.rows_active), (1, 1, 5));
     }
@@ -3063,7 +2989,7 @@ mod tests {
         }
         assert_eq!(report.rows_excluded.len(), 6);
         // Graceful floor: with every row excluded there is no neighbor left.
-        assert_eq!(a.search(&[0, 1, 2, 3]), Err(FerexError::Empty));
+        assert_eq!(search_at(&a, &[0, 1, 2, 3], 0), Err(FerexError::Empty));
     }
 
     #[test]
@@ -3157,12 +3083,12 @@ mod tests {
         let mut a = mutable_ideal(4);
         a.insert(10, vec![0, 1, 2, 3]).unwrap();
         a.insert(20, vec![3, 2, 1, 0]).unwrap();
-        let out = a.search(&[0, 1, 2, 3]).unwrap();
+        let out = search_at(&a, &[0, 1, 2, 3], 0).unwrap();
         let nearest_id = a.id_at(out.nearest).unwrap();
         assert_eq!(nearest_id, 10);
         assert_eq!(a.live_len(), 2);
         // Free slots are excluded, not served as zero vectors.
-        let zero_out = a.search(&[0, 0, 0, 0]).unwrap();
+        let zero_out = search_at(&a, &[0, 0, 0, 0], 0).unwrap();
         assert!(a.id_at(zero_out.nearest).is_some(), "free slot won the search");
     }
 
@@ -3174,7 +3100,7 @@ mod tests {
         a.insert(1, vec![0, 0, 0, 0]).unwrap();
         a.insert(2, vec![3, 3, 3, 3]).unwrap();
         a.delete(1).unwrap();
-        let out = a.search(&[0, 0, 0, 0]).unwrap();
+        let out = search_at(&a, &[0, 0, 0, 0], 0).unwrap();
         assert_eq!(a.id_at(out.nearest), Some(2), "tombstoned row must not serve");
         let slot = 0; // id 1 lived in slot 0
         assert!(out.distances[slot].is_infinite());
@@ -3256,7 +3182,7 @@ mod tests {
         let report = a.maintenance();
         assert_eq!(report.rotated, 1);
         assert_ne!(a.slot_of(1), Some(0), "hot row must move off its worn slot");
-        let out = a.search(&[0; 4]).unwrap();
+        let out = search_at(&a, &[0; 4], 0).unwrap();
         assert_eq!(a.id_at(out.nearest), Some(1));
     }
 
@@ -3312,8 +3238,8 @@ mod tests {
             fresh.insert(id, a.vector_of(id).unwrap().to_vec()).unwrap();
         }
         let q = [1, 2, 3, 0];
-        let got = a.search(&q).unwrap();
-        let want = fresh.search(&q).unwrap();
+        let got = search_at(&a, &q, 0).unwrap();
+        let want = search_at(&fresh, &q, 0).unwrap();
         for id in a.live_ids() {
             let da = got.distances[a.slot_of(id).unwrap()];
             let db = want.distances[fresh.slot_of(id).unwrap()];
@@ -3336,10 +3262,10 @@ mod tests {
         // Delta write against live physical state: no full re-program.
         a.insert(3, vec![0, 0, 3, 3]).unwrap();
         assert!(a.is_programmed(), "delta write must not invalidate the crossbar");
-        let out = a.search(&[0, 0, 3, 3]).unwrap();
+        let out = search_at(&a, &[0, 0, 3, 3], 0).unwrap();
         assert_eq!(a.id_at(out.nearest), Some(3));
         a.delete(1).unwrap();
-        let out = a.search(&[0, 1, 2, 3]).unwrap();
+        let out = search_at(&a, &[0, 1, 2, 3], 0).unwrap();
         assert_ne!(a.id_at(out.nearest), Some(1));
     }
 

@@ -131,8 +131,14 @@ impl FerexBuilder {
             sizing,
             report,
             array,
+            next_qid: 0,
         })
     }
+}
+
+/// Query ids `0..n` of a stand-alone batch.
+fn batch_qids(n: usize) -> Vec<u64> {
+    (0..n as u64).collect()
 }
 
 /// Sizing options consistent with a technology card.
@@ -166,6 +172,9 @@ pub struct Ferex {
     sizing: SizingOptions,
     report: SizingReport,
     array: FerexArray,
+    /// Query id the next [`Ferex::search`] / [`Ferex::search_k`] senses
+    /// with (fresh sensing noise per call).
+    next_qid: u64,
 }
 
 impl Ferex {
@@ -264,7 +273,9 @@ impl Ferex {
     /// verify errors under a strict repair policy.
     pub fn search(&mut self, query: &[u32]) -> Result<SearchOutcome, FerexError> {
         self.ensure_programmed()?;
-        self.array.search(query)
+        let qid = self.next_qid;
+        self.next_qid += 1;
+        self.array.search_batch_at(&[query.to_vec()], &[qid])?.pop().ok_or(FerexError::Empty)
     }
 
     /// k-nearest rows by iterative LTA masking. Programs the array first
@@ -276,11 +287,13 @@ impl Ferex {
     /// `k`.
     pub fn search_k(&mut self, query: &[u32], k: usize) -> Result<Vec<usize>, FerexError> {
         self.ensure_programmed()?;
-        self.array.search_k(query, k)
+        let qid = self.next_qid;
+        self.next_qid += 1;
+        self.array.search_k_batch_at(&[query.to_vec()], k, &[qid])?.pop().ok_or(FerexError::Empty)
     }
 
-    /// Searches a whole batch through the array's batched fast path (see
-    /// [`FerexArray::search_batch`]).
+    /// Searches a whole batch with query ids `0..queries.len()` through
+    /// the array's batched fast path (see [`FerexArray::search_batch_at`]).
     ///
     /// Pure in `&self` — the PR 1 read-path contract: a programmed engine
     /// can serve concurrent batches from many threads sharing one
@@ -292,7 +305,7 @@ impl Ferex {
     ///
     /// # Errors
     ///
-    /// As [`FerexArray::search_batch`]; in particular
+    /// As [`FerexArray::search_batch_at`]; in particular
     /// [`FerexError::NotProgrammed`] when a stochastic backend's physical
     /// state is stale.
     pub fn search_batch(&self, queries: &[Vec<u32>]) -> Result<Vec<SearchOutcome>, FerexError> {
@@ -301,16 +314,17 @@ impl Ferex {
         if queries.is_empty() {
             return Ok(Vec::new());
         }
-        self.array.search_batch(queries)
+        self.array.search_batch_at(queries, &batch_qids(queries.len()))
     }
 
-    /// k-nearest rows for a whole batch (see
-    /// [`FerexArray::search_k_batch`]). Pure in `&self`, with the same
-    /// programmed-array requirement as [`Ferex::search_batch`].
+    /// k-nearest rows for a whole batch with query ids
+    /// `0..queries.len()` (see [`FerexArray::search_k_batch_at`]). Pure in
+    /// `&self`, with the same programmed-array requirement as
+    /// [`Ferex::search_batch`].
     ///
     /// # Errors
     ///
-    /// As [`FerexArray::search_k_batch`].
+    /// As [`FerexArray::search_k_batch_at`].
     pub fn search_k_batch(
         &self,
         queries: &[Vec<u32>],
@@ -319,7 +333,7 @@ impl Ferex {
         if queries.is_empty() {
             return Ok(Vec::new());
         }
-        self.array.search_k_batch(queries, k)
+        self.array.search_k_batch_at(queries, k, &batch_qids(queries.len()))
     }
 
     /// Installs a self-healing policy on the array (see

@@ -372,6 +372,8 @@ pub trait MutableNode {
     fn tombstones(&self) -> usize;
     /// The wear distribution across physical slots.
     fn wear(&self) -> WearSummary;
+    /// `true` once the node keeps a slot table (online mutation enabled).
+    fn mutation_enabled(&self) -> bool;
 }
 
 #[cfg(test)]

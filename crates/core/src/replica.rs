@@ -20,14 +20,15 @@
 //!    *virtual tick clock* (one tick per served query — no wall clock, so
 //!    runs are bit-reproducible). A failed replica read pulls in the next
 //!    eligible replica, up to the policy's retry budget.
-//! 4. **Admission control** — batches beyond the configured capacity shed
-//!    their lowest-priority queries with [`FerexError::Overloaded`]
-//!    instead of degrading everyone.
+//!
+//! Every query reaches the set through one entry point,
+//! [`ReplicaSet::serve`]: a batch with one caller-chosen query id per
+//! entry (a single query is a batch of one). Capacity shedding lives in
+//! the serving loop's queue ([`crate::serve::ServeLoop`]), not here.
 //!
 //! With one replica and a 1/1 quorum the supervisor is transparent:
-//! replica 0 keeps the base backend seed and the supervisor assigns query
-//! ids exactly like a bare [`FerexArray`] (a private counter for
-//! sequential searches, `0..len` for batches), so outcomes are
+//! replica 0 keeps the base backend seed and reads pass the caller's query
+//! ids straight to [`FerexArray::search_batch_at`], so outcomes are
 //! bit-identical to serving without it.
 
 use crate::array::{Backend, FerexArray, SearchOutcome};
@@ -183,8 +184,6 @@ pub struct ReplicaPolicy {
     /// Extra replicas a query may pull in when a chosen replica fails
     /// mid-read.
     pub retry_budget: usize,
-    /// Admission capacity in queries per batch; `0` disables shedding.
-    pub max_batch_queries: usize,
     /// Minimum ticks between two escalated scrubs of the same replica.
     pub scrub_cooldown_ticks: u64,
 }
@@ -195,7 +194,6 @@ impl Default for ReplicaPolicy {
             quorum: QuorumPolicy::default(),
             breaker: BreakerPolicy::default(),
             retry_budget: 1,
-            max_batch_queries: 0,
             scrub_cooldown_ticks: 16,
         }
     }
@@ -228,20 +226,9 @@ pub trait ReplicaNode {
     ///
     /// Dimension or symbol-range violations.
     fn check_query(&self, query: &[u32]) -> Result<(), FerexError>;
-    /// One search with an explicit query id.
-    ///
-    /// # Errors
-    ///
-    /// As the node's search path.
-    fn search_at(&self, query: &[u32], qid: u64) -> Result<SearchOutcome, FerexError>;
-    /// Batched search with query ids `0..queries.len()`.
-    ///
-    /// # Errors
-    ///
-    /// As the node's batched search path.
-    fn search_batch(&self, queries: &[Vec<u32>]) -> Result<Vec<SearchOutcome>, FerexError>;
-    /// Batched search with one explicit query id per entry; bit-identical
-    /// to calling [`ReplicaNode::search_at`] per `(query, qid)` pair.
+    /// Batched search with one explicit query id per entry; any grouping
+    /// of the same `(query, qid)` pairs into batches yields bit-identical
+    /// outcomes.
     ///
     /// # Errors
     ///
@@ -277,14 +264,6 @@ impl ReplicaNode for FerexArray {
 
     fn check_query(&self, query: &[u32]) -> Result<(), FerexError> {
         self.validate(query)
-    }
-
-    fn search_at(&self, query: &[u32], qid: u64) -> Result<SearchOutcome, FerexError> {
-        FerexArray::search_at(self, query, qid)
-    }
-
-    fn search_batch(&self, queries: &[Vec<u32>]) -> Result<Vec<SearchOutcome>, FerexError> {
-        FerexArray::search_batch(self, queries)
     }
 
     fn search_batch_at(
@@ -324,16 +303,6 @@ impl ReplicaNode for TiledArray {
             }
         }
         Ok(())
-    }
-
-    fn search_at(&self, query: &[u32], _qid: u64) -> Result<SearchOutcome, FerexError> {
-        // The cross-tile argmin is digital and deterministic — there is no
-        // per-query sensing stream to key.
-        TiledArray::search(self, query)
-    }
-
-    fn search_batch(&self, queries: &[Vec<u32>]) -> Result<Vec<SearchOutcome>, FerexError> {
-        TiledArray::search_batch(self, queries)
     }
 
     fn search_batch_at(
@@ -385,15 +354,14 @@ pub struct ServedOutcome {
 
 /// Lifetime counters of a [`ReplicaSet`].
 ///
-/// Accounting invariant: every query accepted into a serving path counts
-/// into `queries_submitted` exactly once and then lands in *either*
-/// `queries_served` or `queries_shed`, so on every successful return
-/// `queries_served + queries_shed == queries_submitted`.
+/// Accounting invariant: every query that passes validation counts into
+/// `queries_submitted` exactly once, and on every successful return of
+/// [`ReplicaSet::serve`] `queries_served == queries_submitted`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReplicaSetStats {
-    /// Queries validated and accepted into a serving path (served + shed).
+    /// Queries validated and accepted into the serving path.
     pub queries_submitted: u64,
-    /// Queries answered (sequential + batched, shed queries excluded).
+    /// Queries answered.
     pub queries_served: u64,
     /// Successful replica reads that entered a vote.
     pub replica_reads: u64,
@@ -405,8 +373,6 @@ pub struct ReplicaSetStats {
     pub scrubs_escalated: u64,
     /// Scrubs run through [`ReplicaSet::scrub_all`].
     pub scheduled_scrubs: u64,
-    /// Queries shed by admission control.
-    pub queries_shed: u64,
     /// Circuit-breaker trips across all replicas.
     pub breaker_trips: u64,
 }
@@ -471,10 +437,6 @@ pub struct ReplicaSet<A: ReplicaNode> {
     policy: ReplicaPolicy,
     /// Virtual clock: total queries this set has served (or attempted).
     tick: u64,
-    /// Query-id counter for sequential searches — mirrors
-    /// [`FerexArray::search`]'s internal counter, so a 1-replica set is
-    /// bit-identical to the bare array.
-    seq_counter: u64,
     stats: ReplicaSetStats,
 }
 
@@ -515,7 +477,6 @@ impl<A: ReplicaNode> ReplicaSet<A> {
             metric,
             policy,
             tick: 0,
-            seq_counter: 0,
             stats: ReplicaSetStats::default(),
         }
     }
@@ -970,122 +931,26 @@ impl<A: ReplicaNode> ReplicaSet<A> {
         }
     }
 
-    /// Collects up to `reads` successful outcomes from the ranked eligible
-    /// replicas for one query id, spending the retry budget on failures.
-    fn collect(
-        &mut self,
-        query: &[u32],
-        qid: u64,
-    ) -> Result<Vec<(usize, SearchOutcome)>, FerexError> {
-        let ranked = self.ranked_eligible();
-        let reads = self.policy.quorum.reads;
-        let budget = reads + self.policy.retry_budget;
-        let mut outcomes = Vec::new();
-        for (attempts, &i) in ranked.iter().enumerate() {
-            if outcomes.len() == reads || attempts == budget {
-                break;
-            }
-            let Some(replica) = self.replicas.get(i) else { continue };
-            match replica.search_at(query, qid) {
-                Ok(o) => outcomes.push((i, o)),
-                Err(e) if Self::is_query_error(&e) => return Err(e),
-                Err(_) => self.note_failure(i),
-            }
-        }
-        Ok(outcomes)
-    }
-
-    /// Serves one query through the full ladder (routing → quorum →
-    /// breaker bookkeeping → fallback), reporting provenance.
+    /// Serves a batch with one explicit query id per entry through the
+    /// full ladder: routing → each chosen replica's batched read →
+    /// per-query quorum vote → breaker bookkeeping → digital fallback. The
+    /// second element lists the replica indices whose batched reads fed
+    /// the vote, in routing order; the serving loop's latency model
+    /// charges each of those reads its own modeled service time.
     ///
-    /// # Errors
-    ///
-    /// Query validation errors; [`FerexError::Empty`] when nothing is
-    /// stored. Replica-health errors never surface here — they divert to
-    /// healthier replicas or the digital fallback.
-    pub fn serve(&mut self, query: &[u32]) -> Result<ServedOutcome, FerexError> {
-        self.check_query(query)?;
-        if self.stored.is_empty() {
-            return Err(FerexError::Empty);
-        }
-        self.stats.queries_submitted += 1;
-        let qid = self.seq_counter;
-        self.seq_counter += 1;
-        let outcomes = self.collect(query, qid)?;
-        let (served, dissenters) = self.vote(query, outcomes)?;
-        self.tick += 1;
-        for d in dissenters {
-            self.escalate_scrub(d);
-        }
-        self.stats.queries_served += 1;
-        Ok(served)
-    }
-
-    /// One search through the supervisor; like [`ReplicaSet::serve`]
-    /// without the provenance.
-    ///
-    /// # Errors
-    ///
-    /// As [`ReplicaSet::serve`].
-    pub fn search(&mut self, query: &[u32]) -> Result<SearchOutcome, FerexError> {
-        self.serve(query).map(|s| s.outcome)
-    }
-
-    /// Serves a whole batch (query ids `0..queries.len()`, matching
-    /// [`FerexArray::search_batch`]) through each chosen replica's batched
-    /// fast path, voting per query.
-    ///
-    /// # Errors
-    ///
-    /// As [`ReplicaSet::serve`]; [`FerexError::Overloaded`] when the batch
-    /// exceeds the admission capacity (use
-    /// [`ReplicaSet::search_batch_prioritized`] to shed per-query
-    /// instead).
-    pub fn serve_batch(&mut self, queries: &[Vec<u32>]) -> Result<Vec<ServedOutcome>, FerexError> {
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.validate_batch(queries)?;
-        self.stats.queries_submitted += queries.len() as u64;
-        let cap = self.policy.max_batch_queries;
-        if cap != 0 && queries.len() > cap {
-            self.stats.queries_shed += queries.len() as u64;
-            return Err(FerexError::Overloaded { admitted: 0, capacity: cap });
-        }
-        let qids: Vec<u64> = (0..queries.len() as u64).collect();
-        self.serve_batch_core(queries, &qids).map(|(served, _)| served)
-    }
-
-    /// Serves a batch with one explicit query id per entry — the serving
-    /// loop's entry point. Because per-query sensing noise is keyed purely
-    /// on the id, the outcomes are bit-identical to serving each request
-    /// individually via [`ReplicaNode::search_at`] with the same id, no
-    /// matter how the batch former grouped the requests. Admission control
-    /// (`max_batch_queries`) is *not* applied here: the loop sheds at its
-    /// own queue, before requests reach the replicas.
+    /// Because per-query sensing noise is keyed purely on the id, the
+    /// outcomes are bit-identical to serving each `(query, qid)` pair as a
+    /// batch of one, no matter how the caller grouped the requests. Every
+    /// query advances the virtual tick by one.
     ///
     /// # Errors
     ///
     /// A `qids` slice of the wrong length is a
-    /// [`FerexError::DimensionMismatch`]; otherwise as
-    /// [`ReplicaSet::serve`].
-    pub fn serve_batch_at(
-        &mut self,
-        queries: &[Vec<u32>],
-        qids: &[u64],
-    ) -> Result<Vec<ServedOutcome>, FerexError> {
-        self.serve_batch_read(queries, qids).map(|(served, _)| served)
-    }
-
-    /// [`ReplicaSet::serve_batch_at`] plus read provenance: the second
-    /// element lists the replica indices whose batched reads fed the vote,
-    /// in routing order. The serving loop's latency model charges each of
-    /// those reads its own modeled service time.
-    ///
-    /// # Errors
-    ///
-    /// As [`ReplicaSet::serve_batch_at`].
-    pub fn serve_batch_read(
+    /// [`FerexError::DimensionMismatch`]; query validation errors;
+    /// [`FerexError::Empty`] when nothing is stored. Replica-health errors
+    /// never surface here — they divert to healthier replicas or the
+    /// digital fallback.
+    pub fn serve(
         &mut self,
         queries: &[Vec<u32>],
         qids: &[u64],
@@ -1096,104 +961,13 @@ impl<A: ReplicaNode> ReplicaSet<A> {
         if queries.is_empty() {
             return Ok((Vec::new(), Vec::new()));
         }
-        self.validate_batch(queries)?;
-        self.stats.queries_submitted += queries.len() as u64;
-        self.serve_batch_core(queries, qids)
-    }
-
-    /// Batched search without provenance; see [`ReplicaSet::serve_batch`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ReplicaSet::serve_batch`].
-    pub fn search_batch(&mut self, queries: &[Vec<u32>]) -> Result<Vec<SearchOutcome>, FerexError> {
-        Ok(self.serve_batch(queries)?.into_iter().map(|s| s.outcome).collect())
-    }
-
-    /// Admission-controlled batch: when the batch exceeds the policy's
-    /// capacity, the lowest-priority queries (ties shed from the back) get
-    /// [`FerexError::Overloaded`] and the rest are served as one batch in
-    /// their original order.
-    ///
-    /// # Errors
-    ///
-    /// A priority slice of the wrong length is a
-    /// [`FerexError::DimensionMismatch`]; otherwise as
-    /// [`ReplicaSet::serve_batch`], with per-query shed errors inside the
-    /// returned vector.
-    pub fn search_batch_prioritized(
-        &mut self,
-        queries: &[Vec<u32>],
-        priorities: &[u32],
-    ) -> Result<Vec<Result<ServedOutcome, FerexError>>, FerexError> {
-        if priorities.len() != queries.len() {
-            return Err(FerexError::DimensionMismatch {
-                expected: queries.len(),
-                got: priorities.len(),
-            });
-        }
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        // The whole submission is validated (and counted) up front, shed
-        // queries included — shedding is a capacity decision, not a
-        // validation bypass.
-        self.validate_batch(queries)?;
-        self.stats.queries_submitted += queries.len() as u64;
-        let cap = if self.policy.max_batch_queries == 0 {
-            queries.len()
-        } else {
-            self.policy.max_batch_queries
-        };
-        let mut order: Vec<usize> = (0..queries.len()).collect();
-        order.sort_by(|&a, &b| {
-            let pa = priorities.get(a).copied().unwrap_or(0);
-            let pb = priorities.get(b).copied().unwrap_or(0);
-            pb.cmp(&pa).then(a.cmp(&b))
-        });
-        let mut admitted: Vec<usize> = order.iter().copied().take(cap).collect();
-        admitted.sort_unstable(); // serve in original batch order
-        let admitted_queries: Vec<Vec<u32>> =
-            admitted.iter().filter_map(|&i| queries.get(i).cloned()).collect();
-        let shed = queries.len() - admitted.len();
-        self.stats.queries_shed += shed as u64;
-        let qids: Vec<u64> = (0..admitted_queries.len() as u64).collect();
-        let (served, _) = self.serve_batch_core(&admitted_queries, &qids)?;
-        let mut results: Vec<Result<ServedOutcome, FerexError>> = (0..queries.len())
-            .map(|_| Err(FerexError::Overloaded { admitted: admitted.len(), capacity: cap }))
-            .collect();
-        for (slot, outcome) in admitted.into_iter().zip(served) {
-            if let Some(r) = results.get_mut(slot) {
-                *r = Ok(outcome);
-            }
-        }
-        Ok(results)
-    }
-
-    /// Validates every query of a submission against the replicas and the
-    /// supervisor's stored copy — shared front door of the batch paths.
-    fn validate_batch(&self, queries: &[Vec<u32>]) -> Result<(), FerexError> {
         for q in queries {
             self.check_query(q)?;
         }
         if self.stored.is_empty() {
             return Err(FerexError::Empty);
         }
-        Ok(())
-    }
-
-    /// Serves a pre-validated, pre-counted batch through each chosen
-    /// replica's batched fast path with explicit query ids, voting per
-    /// query. Callers must have run [`ReplicaSet::validate_batch`] and
-    /// counted `queries_submitted`.
-    fn serve_batch_core(
-        &mut self,
-        queries: &[Vec<u32>],
-        qids: &[u64],
-    ) -> Result<(Vec<ServedOutcome>, Vec<usize>), FerexError> {
-        if queries.is_empty() {
-            return Ok((Vec::new(), Vec::new()));
-        }
+        self.stats.queries_submitted += queries.len() as u64;
         let ranked = self.ranked_eligible();
         let reads = self.policy.quorum.reads;
         let budget = reads + self.policy.retry_budget;
@@ -1278,9 +1052,14 @@ impl<A: ReplicaNode + MutableNode> ReplicaSet<A> {
     /// Rebuilds the digital mirror from replica 0's live slot table: live
     /// slots carry their id's vector, free and tombstoned slots read as
     /// zeros (the fallback never scores them — see
-    /// [`ReplicaNode::row_live`]).
+    /// [`ReplicaNode::row_live`]). A replica without a slot table has no
+    /// live ids to rebuild from and its rows cannot change, so the mirror
+    /// stays as built.
     fn resync_mirror(&mut self) {
         let Some(first) = self.replicas.first() else { return };
+        if !first.mutation_enabled() {
+            return;
+        }
         let dim = self.stored.first().map(Vec::len).unwrap_or(0);
         let mut mirror = vec![vec![0u32; dim]; self.stored.len()];
         for id in first.live_ids() {
@@ -1411,6 +1190,15 @@ mod tests {
         (0..rows as u32).map(|r| (0..dim as u32).map(|d| (r + d) % 4).collect()).collect()
     }
 
+    /// Serves one query as a batch of one with query id `qid`.
+    fn serve_one<A: ReplicaNode>(
+        set: &mut ReplicaSet<A>,
+        q: &[u32],
+        qid: u64,
+    ) -> Result<ServedOutcome, FerexError> {
+        set.serve(&[q.to_vec()], &[qid]).map(|(mut served, _)| served.remove(0))
+    }
+
     #[test]
     fn replica_zero_keeps_the_base_seed() {
         assert_eq!(derive_replica_seed(0xFE12EC5, 0), 0xFE12EC5);
@@ -1449,14 +1237,17 @@ mod tests {
         bare.program();
         let mut set = build().replica_set(1, ReplicaPolicy::default()).expect("replicates");
         let queries = vectors(8, 6);
-        for q in &queries {
-            let lone = bare.array().search(q).unwrap();
-            let served = set.serve(q).unwrap();
-            assert_eq!(served.outcome, lone);
+        let qids: Vec<u64> = (0..queries.len() as u64).collect();
+        for (q, &qid) in queries.iter().zip(&qids) {
+            let lone = bare.array().search_batch_at(std::slice::from_ref(q), &[qid]).unwrap();
+            let served = serve_one(&mut set, q, qid).unwrap();
+            assert_eq!(served.outcome, lone[0]);
             assert_eq!(served.source, ServeSource::Replica(0));
         }
-        let lone = bare.array().search_batch(&queries).unwrap();
-        assert_eq!(set.search_batch(&queries).unwrap(), lone);
+        let lone = bare.array().search_batch_at(&queries, &qids).unwrap();
+        let (served, reads) = set.serve(&queries, &qids).unwrap();
+        assert_eq!(served.into_iter().map(|s| s.outcome).collect::<Vec<_>>(), lone);
+        assert_eq!(reads, vec![0]);
     }
 
     #[test]
@@ -1486,10 +1277,10 @@ mod tests {
         let policy =
             ReplicaPolicy { quorum: QuorumPolicy { reads: 3, agree: 2 }, ..Default::default() };
         let mut set = ReplicaSet::new(replicas, vs.clone(), DistanceMetric::Hamming, policy);
-        for q in &vs {
+        for (qid, q) in vs.iter().enumerate() {
             // At the fault-isolation corner the two clean replicas are
             // exact, so the quorum answer is always the true nearest.
-            let served = set.serve(q).unwrap();
+            let served = serve_one(&mut set, q, qid as u64).unwrap();
             let truth = set.digital_fallback(q).unwrap().nearest;
             assert_eq!(served.outcome.nearest, truth);
         }
@@ -1522,19 +1313,19 @@ mod tests {
             let _ = set.replica_mut(1).quarantine_row(r);
         }
         let q = &vs[0];
-        set.serve(q).unwrap();
+        serve_one(&mut set, q, 0).unwrap();
         assert_eq!(set.status(1).consecutive_failures, 1);
-        set.serve(q).unwrap();
+        serve_one(&mut set, q, 0).unwrap();
         let opened = set.status(1).breaker;
         assert_eq!(opened, BreakerState::Open { until_tick: 1 + 3 }, "threshold 2 trips at tick 1");
         assert_eq!(set.stats().breaker_trips, 1);
         // While open the replica is skipped — no failure accrues.
-        set.serve(q).unwrap();
+        serve_one(&mut set, q, 0).unwrap();
         assert_eq!(set.status(1).breaker, opened);
         // Past the backoff the breaker half-opens, the probe fails, and it
         // re-opens with doubled backoff.
-        set.serve(q).unwrap(); // tick 3
-        set.serve(q).unwrap(); // tick 4: eligible as half-open, probe fails
+        serve_one(&mut set, q, 0).unwrap(); // tick 3
+        serve_one(&mut set, q, 0).unwrap(); // tick 4: eligible as half-open, probe fails
         assert!(matches!(set.status(1).breaker, BreakerState::Open { .. }));
         assert_eq!(set.stats().breaker_trips, 2);
         // Every query was still answered by the healthy replica.
@@ -1543,100 +1334,83 @@ mod tests {
     }
 
     #[test]
-    fn admission_control_sheds_lowest_priority_queries() {
-        let dim = 4;
-        let vs = vectors(6, dim);
-        let mut engine = Ferex::builder().dim(dim).build().expect("builds");
-        engine.store_all(vs.clone()).unwrap();
-        let policy = ReplicaPolicy { max_batch_queries: 2, ..Default::default() };
-        let mut set = engine.replica_set(1, policy).expect("replicates");
-        let batch: Vec<Vec<u32>> = vs[0..4].to_vec();
-        // Whole-batch path rejects outright…
-        let err = set.search_batch(&batch).unwrap_err();
-        assert_eq!(err, FerexError::Overloaded { admitted: 0, capacity: 2 });
-        // …the prioritized path sheds exactly the two lowest priorities.
-        let results = set.search_batch_prioritized(&batch, &[1, 9, 0, 9]).unwrap();
-        assert!(results[1].is_ok() && results[3].is_ok());
-        assert_eq!(
-            results[0].as_ref().unwrap_err(),
-            &FerexError::Overloaded { admitted: 2, capacity: 2 }
-        );
-        assert!(results[2].is_err());
-        assert_eq!(set.stats().queries_shed, 4 + 2);
-        assert_eq!(set.stats().queries_served, 2);
-    }
-
-    #[test]
-    fn stats_balance_served_plus_shed_equals_submitted() {
-        let dim = 4;
-        let vs = vectors(6, dim);
-        let mut engine = Ferex::builder().dim(dim).build().expect("builds");
-        engine.store_all(vs.clone()).unwrap();
-        let policy = ReplicaPolicy { max_batch_queries: 2, ..Default::default() };
-        let mut set = engine.replica_set(1, policy).expect("replicates");
-        let balanced =
-            |s: ReplicaSetStats| s.queries_served + s.queries_shed == s.queries_submitted;
-
-        set.serve(&vs[0]).unwrap();
-        assert!(balanced(set.stats()));
-        // Whole-batch rejection (the `admitted: 0` path): the submission is
-        // validated, counted, and shed in full — previously it was shed
-        // without ever being counted as submitted.
-        let batch: Vec<Vec<u32>> = vs[0..4].to_vec();
-        let err = set.serve_batch(&batch).unwrap_err();
-        assert_eq!(err, FerexError::Overloaded { admitted: 0, capacity: 2 });
-        assert!(balanced(set.stats()));
-        assert_eq!(set.stats().queries_submitted, 1 + 4);
-        // Prioritized partial shed.
-        set.search_batch_prioritized(&batch, &[1, 9, 0, 9]).unwrap();
-        assert!(balanced(set.stats()));
-        assert_eq!(set.stats().queries_submitted, 1 + 4 + 4);
-        assert_eq!(set.stats().queries_served, 1 + 2);
-        assert_eq!(set.stats().queries_shed, 4 + 2);
-        // In-capacity batch and explicit-id batch shed nothing.
-        set.serve_batch(&batch[0..2]).unwrap();
-        set.serve_batch_at(&batch[0..2], &[40, 41]).unwrap();
-        assert!(balanced(set.stats()));
-        assert_eq!(set.stats().queries_submitted, 13);
-        assert_eq!(set.stats().queries_served, 7);
-    }
-
-    #[test]
-    fn serve_batch_at_is_bit_identical_to_individual_serving() {
-        // With explicit query ids the batch grouping is invisible: any
-        // split of the same (query, qid) pairs reproduces the outcomes of
-        // serving each pair alone.
-        let build = || {
+    fn serve_is_bit_identical_across_batch_groupings() {
+        // With explicit query ids the batch grouping is invisible: n
+        // batches of one and one batch of n reproduce the same outcomes,
+        // counters and tick clock, for a noisy quorum and a tiled set.
+        fn check<A: ReplicaNode + Clone>(set: ReplicaSet<A>, queries: &[Vec<u32>]) {
+            let qids: Vec<u64> = (0..queries.len() as u64).map(|i| i * 3 + 5).collect();
+            let mut whole = set.clone();
+            let (all, _) = whole.serve(queries, &qids).unwrap();
+            let mut split = set;
+            let singles: Vec<ServedOutcome> = queries
+                .iter()
+                .zip(&qids)
+                .map(|(q, &qid)| serve_one(&mut split, q, qid).unwrap())
+                .collect();
+            assert_eq!(all, singles);
+            assert_eq!(whole.stats(), split.stats());
+            assert_eq!(whole.tick(), split.tick());
+            assert_eq!(whole.tick(), queries.len() as u64);
+        }
+        let queries = vectors(8, 6);
+        let noisy = |seed| {
             let mut f = Ferex::builder()
                 .dim(6)
-                .backend(Backend::Noisy(Box::new(corner_cfg(FaultPlan::none(), 21))))
+                .backend(Backend::Noisy(Box::new(corner_cfg(FaultPlan::none(), seed))))
                 .build()
                 .expect("builds");
             f.store_all(vectors(8, 6)).unwrap();
-            f.replica_set(1, ReplicaPolicy::default()).expect("replicates")
+            f
         };
-        let queries = vectors(8, 6);
-        let qids: Vec<u64> = (0..queries.len() as u64).map(|i| i * 3 + 5).collect();
-        let mut whole = build();
-        let all = whole.serve_batch_at(&queries, &qids).unwrap();
-        let mut split = build();
-        let mut chunked = Vec::new();
-        for (qchunk, idchunk) in queries.chunks(3).zip(qids.chunks(3)) {
-            chunked.extend(split.serve_batch_at(qchunk, idchunk).unwrap());
-        }
-        assert_eq!(all, chunked);
-        // And both match individual searches on a bare array with the same
-        // seed and ids.
-        let mut bare = Ferex::builder()
-            .dim(6)
-            .backend(Backend::Noisy(Box::new(corner_cfg(FaultPlan::none(), 21))))
-            .build()
-            .expect("builds");
-        bare.store_all(vectors(8, 6)).unwrap();
+        check(noisy(21).replica_set(1, ReplicaPolicy::default()).unwrap(), &queries);
+        let quorum =
+            ReplicaPolicy { quorum: QuorumPolicy { reads: 3, agree: 2 }, ..Default::default() };
+        check(noisy(22).replica_set(3, quorum).unwrap(), &queries);
+        let tiled = ReplicaSet::tiled(
+            DistanceMetric::Manhattan,
+            2,
+            6,
+            4,
+            &Backend::Noisy(Box::new(corner_cfg(FaultPlan::none(), 23))),
+            ferex_fefet::Technology::default(),
+            vectors(8, 6),
+            2,
+            ReplicaPolicy { quorum: QuorumPolicy { reads: 2, agree: 2 }, ..Default::default() },
+        )
+        .expect("builds");
+        check(tiled, &queries);
+
+        // And the outcomes match a bare array with the same seed and ids.
+        let mut set = noisy(21).replica_set(1, ReplicaPolicy::default()).unwrap();
+        let mut bare = noisy(21);
         bare.program();
-        for ((q, &qid), served) in queries.iter().zip(&qids).zip(&all) {
-            assert_eq!(served.outcome, bare.array().search_at(q, qid).unwrap());
-        }
+        let qids: Vec<u64> = (0..queries.len() as u64).map(|i| i * 3 + 5).collect();
+        let (all, _) = set.serve(&queries, &qids).unwrap();
+        let want = bare.array().search_batch_at(&queries, &qids).unwrap();
+        assert_eq!(all.into_iter().map(|s| s.outcome).collect::<Vec<_>>(), want);
+        assert!(matches!(
+            set.serve(&queries, &qids[1..]),
+            Err(FerexError::DimensionMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn mutation_calls_on_an_immutable_set_keep_the_fallback_mirror() {
+        let vs = vectors(4, 6);
+        let mut engine = Ferex::builder().dim(6).build().expect("builds");
+        engine.store_all(vs.clone()).unwrap();
+        let mut set = engine.replica_set(2, ReplicaPolicy::default()).expect("replicates");
+        set.maintenance();
+        set.compact();
+        assert!(set.insert(99, vec![0; 6]).is_err(), "no slot table to insert into");
+        set.kill(0);
+        set.kill(1);
+        // Row 2's own vector: its exact nearest is row 2, not row 0.
+        let served = serve_one(&mut set, &vs[2], 0).unwrap();
+        assert_eq!(served.source, ServeSource::OracleFallback);
+        assert_eq!(served.outcome.nearest, 2);
+        assert_eq!(served.outcome.distances[2], 0.0);
     }
 
     #[test]
@@ -1651,11 +1425,11 @@ mod tests {
         set.kill(1);
         assert_eq!(set.alive(), 1);
         // One eligible replica cannot meet agree = 2: the oracle serves.
-        let served = set.serve(&vs[2]).unwrap();
+        let served = serve_one(&mut set, &vs[2], 0).unwrap();
         assert_eq!(served.source, ServeSource::OracleFallback);
         assert_eq!(served.outcome.nearest, 2);
         set.revive(1);
-        let served = set.serve(&vs[2]).unwrap();
+        let served = serve_one(&mut set, &vs[2], 0).unwrap();
         assert_eq!(served.source, ServeSource::Replica(0));
     }
 
@@ -1683,7 +1457,7 @@ mod tests {
         // The device quorum and the digital oracle agree on the new
         // contents (Ideal backend: both are exact).
         let slot9 = set.replica(0).slot_of(9).expect("id 9 is live");
-        let served = set.serve(&[3; 6]).unwrap();
+        let served = serve_one(&mut set, &[3; 6], 0).unwrap();
         assert_eq!(served.outcome.nearest, slot9);
         assert_eq!(served.source, ServeSource::Replica(0));
         assert_eq!(set.digital_fallback(&[3; 6]).unwrap().nearest, slot9);
@@ -1716,7 +1490,7 @@ mod tests {
         )
         .expect("builds");
         for (r, q) in vs.iter().enumerate() {
-            let served = set.serve(q).unwrap();
+            let served = serve_one(&mut set, q, 0).unwrap();
             assert_eq!(served.outcome.nearest, r);
             assert_eq!(served.source, ServeSource::Replica(0));
         }

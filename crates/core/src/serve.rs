@@ -17,18 +17,18 @@
 //!    the rest: with equally loaded tenants the served counts stay within
 //!    one batch of each other.
 //! 3. **Backpressure** — when the queue exceeds its capacity the
-//!    lowest-priority request (ties shed from the back, matching
-//!    [`ReplicaSet::search_batch_prioritized`]) is shed with
-//!    [`ShedReason::Capacity`].
+//!    lowest-priority request (ties shed from the back) is shed with
+//!    [`ShedReason::Capacity`]. This queue is the only admission control
+//!    in the serving stack.
 //! 4. **Virtual time** — the clock is a plain `u64` advanced by the
 //!    caller; service cost comes from a [`CostModel`] calibrated against
 //!    the measured batch kernels. Latency percentiles are exact integers
 //!    and every run is bit-reproducible.
 //!
 //! Each admitted request gets a stable query id at submission, and formed
-//! batches are served through [`ReplicaSet::serve_batch_at`] — so the
-//! answers are bit-identical to serving every request individually,
-//! no matter how the former grouped them.
+//! batches are served through [`ReplicaSet::serve`] — so the answers are
+//! bit-identical to serving every request as a batch of one, no matter
+//! how the former grouped them.
 
 use crate::error::FerexError;
 use crate::latency::{qln_quantile_milli, BrownoutPolicy, HedgePolicy};
@@ -508,7 +508,7 @@ impl<A: ReplicaNode> ServeLoop<A> {
     /// # Errors
     ///
     /// [`FerexError::InvalidPolicy`] when `tick` is behind the clock;
-    /// serving errors as [`ReplicaSet::serve_batch_at`] (queries are
+    /// serving errors as [`ReplicaSet::serve`] (queries are
     /// pre-validated at submission, so these indicate replica-set
     /// exhaustion, not bad requests).
     pub fn poll(&mut self, tick: u64) -> Result<(Vec<Completion>, Vec<ShedEvent>), FerexError> {
@@ -532,7 +532,7 @@ impl<A: ReplicaNode> ServeLoop<A> {
         let picked = self.form_batch();
         let queries: Vec<Vec<u32>> = picked.iter().map(|p| p.req.query.clone()).collect();
         let qids: Vec<u64> = picked.iter().map(|p| p.qid).collect();
-        let (outcomes, reads) = self.set.serve_batch_read(&queries, &qids)?;
+        let (outcomes, reads) = self.set.serve(&queries, &qids)?;
         let batch = self.next_batch;
         self.next_batch += 1;
         let service = self.charge(picked.len(), &reads, batch, tick);

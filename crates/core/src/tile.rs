@@ -54,8 +54,8 @@ pub fn derive_tile_seed(seed: u64, t: usize) -> u64 {
 /// let mut tiled = TiledArray::new(Technology::default(), enc, 10, 4, Backend::Ideal);
 /// tiled.store(vec![0, 1, 2, 3, 0, 1, 2, 3, 0, 1])?;
 /// tiled.program();
-/// let out = tiled.search(&[0, 1, 2, 3, 0, 1, 2, 3, 0, 1])?;
-/// assert_eq!(out.distances[0], 0.0);
+/// let out = tiled.search_batch(&[vec![0, 1, 2, 3, 0, 1, 2, 3, 0, 1]])?;
+/// assert_eq!(out[0].distances[0], 0.0);
 /// # Ok(())
 /// # }
 /// ```
@@ -317,21 +317,12 @@ impl TiledArray {
         Ok(SearchOutcome { distances, nearest })
     }
 
-    /// One search: accumulated distances plus a digital argmin (after the
+    /// Searches a batch: accumulated distances through the per-tile
+    /// batched fast path plus a digital argmin per query (after the
     /// per-tile ADCs, the final comparison is digital and exact; analog
-    /// error lives in the per-tile partials).
-    ///
-    /// # Errors
-    ///
-    /// As [`TiledArray::distances`].
-    pub fn search(&self, query: &[u32]) -> Result<SearchOutcome, FerexError> {
-        Self::digital_argmin(self.distances(query)?)
-    }
-
-    /// Searches a whole batch; equivalent to a loop of
-    /// [`TiledArray::search`] calls (the cross-tile argmin is digital and
-    /// deterministic), with distances served through the per-tile batched
-    /// fast path.
+    /// error lives in the per-tile partials). The cross-tile argmin keys
+    /// no noise stream, so a batch of one reproduces the same query inside
+    /// any larger batch.
     ///
     /// # Errors
     ///
@@ -352,22 +343,13 @@ impl TiledArray {
         Ok(order)
     }
 
-    /// The `k` nearest rows by accumulated distance.
+    /// The `k` nearest rows by accumulated distance, for every query of a
+    /// batch.
     ///
     /// # Errors
     ///
-    /// As [`TiledArray::search`]; [`FerexError::InvalidK`] if `k` is zero
-    /// or exceeds the stored count.
-    pub fn search_k(&self, query: &[u32], k: usize) -> Result<Vec<usize>, FerexError> {
-        let distances = self.distances(query)?;
-        Self::rank_k(&distances, k)
-    }
-
-    /// The `k` nearest rows for every query of a batch.
-    ///
-    /// # Errors
-    ///
-    /// As [`TiledArray::distances_batch`] and [`TiledArray::search_k`].
+    /// As [`TiledArray::distances_batch`]; [`FerexError::InvalidK`] if `k`
+    /// is zero or exceeds the stored count.
     pub fn search_k_batch(
         &self,
         queries: &[Vec<u32>],
@@ -815,6 +797,10 @@ impl MutableNode for TiledArray {
         // Lockstep tiles wear identically; the first tile speaks for all.
         self.tiles.first().map(FerexArray::wear).unwrap_or_default()
     }
+
+    fn mutation_enabled(&self) -> bool {
+        TiledArray::mutation_enabled(self)
+    }
 }
 
 #[cfg(test)]
@@ -828,6 +814,14 @@ mod tests {
     fn encoding() -> CellEncoding {
         let dm = DistanceMatrix::from_metric(DistanceMetric::Hamming, 2);
         find_minimal_cell(&dm, &SizingOptions::default()).expect("sizes").encoding
+    }
+
+    fn search_one(tiled: &TiledArray, q: &[u32]) -> Result<SearchOutcome, FerexError> {
+        tiled.search_batch(&[q.to_vec()]).map(|mut out| out.remove(0))
+    }
+
+    fn search_k_one(tiled: &TiledArray, q: &[u32], k: usize) -> Result<Vec<usize>, FerexError> {
+        tiled.search_k_batch(&[q.to_vec()], k).map(|mut out| out.remove(0))
     }
 
     fn data(dim: usize) -> Vec<Vec<u32>> {
@@ -845,8 +839,8 @@ mod tests {
             tiled.store(v).unwrap();
         }
         let q: Vec<u32> = (0..dim).map(|d| (d % 3) as u32).collect();
-        let dm = mono.search(&q).unwrap();
-        let dt = tiled.search(&q).unwrap();
+        let dm = mono.search_batch_at(std::slice::from_ref(&q), &[0]).unwrap().remove(0);
+        let dt = search_one(&tiled, &q).unwrap();
         assert_eq!(dm.distances, dt.distances);
         assert_eq!(dm.nearest, dt.nearest);
     }
@@ -868,7 +862,7 @@ mod tests {
         tiled.store(vec![0; 8]).unwrap();
         tiled.store(vec![1; 8]).unwrap();
         tiled.store(vec![3; 8]).unwrap();
-        let top = tiled.search_k(&[1; 8], 3).unwrap();
+        let top = search_k_one(&tiled, &[1; 8], 3).unwrap();
         assert_eq!(top[0], 1);
         // Hamming: d(1,0) = 1 per symbol (8 total), d(1,3) = 1 per symbol
         // (8 total) — tie breaks to the lower row.
@@ -908,13 +902,13 @@ mod tests {
         tiled.store(vec![0, 1, 2, 3, 0, 1, 2, 3, 0]).unwrap();
         tiled.store(vec![3, 2, 1, 0, 3, 2, 1, 0, 3]).unwrap();
         let q = vec![0u32, 1, 2, 3, 0, 1, 2, 3, 1];
-        let hd = tiled.search(&q).unwrap();
+        let hd = search_one(&tiled, &q).unwrap();
         assert_eq!(hd.nearest, 0);
         // Switch to Manhattan in place.
         let dm = DistanceMatrix::from_metric(DistanceMetric::Manhattan, 2);
         let enc = find_minimal_cell(&dm, &crate::SizingOptions::default()).unwrap().encoding;
         tiled.reconfigure(enc).unwrap();
-        let l1 = tiled.search(&q).unwrap();
+        let l1 = search_one(&tiled, &q).unwrap();
         assert_eq!(l1.nearest, 0);
         // Manhattan distances differ from Hamming on this data.
         assert_ne!(hd.distances, l1.distances);
@@ -936,7 +930,7 @@ mod tests {
             tiled.store(vec![0; 9]),
             Err(FerexError::DimensionMismatch { expected: 10, got: 9 })
         ));
-        assert!(matches!(tiled.search(&[0; 10]), Err(FerexError::Empty)));
+        assert!(matches!(search_one(&tiled, &[0; 10]), Err(FerexError::Empty)));
     }
 
     #[test]
@@ -955,7 +949,7 @@ mod tests {
             assert_eq!(tile.len(), 1, "a tile kept a chunk of the rejected vector");
         }
         // The array still works after the rejected store.
-        let out = tiled.search(&[0; 8]).unwrap();
+        let out = search_one(&tiled, &[0; 8]).unwrap();
         assert_eq!(out.nearest, 0);
     }
 
@@ -965,8 +959,8 @@ mod tests {
         let mut tiled = TiledArray::new(Technology::default(), enc, 8, 4, Backend::Ideal);
         tiled.store(vec![0; 8]).unwrap();
         tiled.store(vec![1; 8]).unwrap();
-        assert_eq!(tiled.search_k(&[0; 8], 0), Err(FerexError::InvalidK { k: 0, rows: 2 }));
-        assert_eq!(tiled.search_k(&[0; 8], 5), Err(FerexError::InvalidK { k: 5, rows: 2 }));
+        assert_eq!(search_k_one(&tiled, &[0; 8], 0), Err(FerexError::InvalidK { k: 0, rows: 2 }));
+        assert_eq!(search_k_one(&tiled, &[0; 8], 5), Err(FerexError::InvalidK { k: 5, rows: 2 }));
     }
 
     #[test]
@@ -1025,10 +1019,10 @@ mod tests {
             TiledArray::new(Technology::default(), enc, 8, 4, Backend::Noisy(Box::new(cfg)));
         tiled.store(vec![0; 8]).unwrap();
         assert!(!tiled.is_programmed());
-        assert_eq!(tiled.search(&[0; 8]), Err(FerexError::NotProgrammed));
+        assert_eq!(search_one(&tiled, &[0; 8]), Err(FerexError::NotProgrammed));
         tiled.program();
         assert!(tiled.is_programmed());
-        assert!(tiled.search(&[0; 8]).is_ok());
+        assert!(search_one(&tiled, &[0; 8]).is_ok());
     }
 
     #[test]
@@ -1045,11 +1039,11 @@ mod tests {
             (0..6).map(|q| (0..10).map(|d| ((q + 2 * d) % 4) as u32).collect()).collect();
         let batched = tiled.search_batch(&queries).unwrap();
         for (i, q) in queries.iter().enumerate() {
-            assert_eq!(batched[i], tiled.search(q).unwrap(), "query {i}");
+            assert_eq!(batched[i], search_one(&tiled, q).unwrap(), "query {i}");
         }
         let k_batched = tiled.search_k_batch(&queries, 2).unwrap();
         for (i, q) in queries.iter().enumerate() {
-            assert_eq!(k_batched[i], tiled.search_k(q, 2).unwrap(), "query {i}");
+            assert_eq!(k_batched[i], search_k_one(&tiled, q, 2).unwrap(), "query {i}");
         }
     }
 
@@ -1103,17 +1097,17 @@ mod tests {
         assert_eq!(spares.len(), 3);
         assert!(matches!(tiled.row_health(1), RowHealth::Remapped { .. }));
         let q: Vec<u32> = (0..10).map(|d| ((1 + d) % 4) as u32).collect();
-        let out = tiled.search(&q).unwrap();
+        let out = search_one(&tiled, &q).unwrap();
         assert_eq!(out.nearest, 1, "remapped row keeps its logical id");
         assert_eq!(out.distances[1], 0.0);
         // The pool (one spare per tile) is now dry: the next quarantine
         // excludes the row globally.
         assert!(matches!(tiled.quarantine_row(2), Err(FerexError::SparesExhausted { row: 2, .. })));
         assert_eq!(tiled.row_health(2), RowHealth::Quarantined);
-        let out = tiled.search(&q).unwrap();
+        let out = search_one(&tiled, &q).unwrap();
         assert!(out.distances[2].is_infinite());
         assert_eq!(
-            tiled.search_k(&q, 4),
+            search_k_one(&tiled, &q, 4),
             Err(FerexError::InvalidK { k: 4, rows: 3 }),
             "only three rows stay active"
         );
@@ -1169,8 +1163,8 @@ mod tests {
         }
         assert_eq!(mono.live_ids(), tiled.live_ids());
         let q: Vec<u32> = (0..dim).map(|d| (d % 4) as u32).collect();
-        let dm = mono.search(&q).unwrap();
-        let dt = tiled.search(&q).unwrap();
+        let dm = mono.search_batch_at(std::slice::from_ref(&q), &[0]).unwrap().remove(0);
+        let dt = search_one(&tiled, &q).unwrap();
         for id in mono.live_ids() {
             let a = dm.distances[mono.slot_of(id).unwrap()];
             let b = dt.distances[tiled.slot_of(id).unwrap()];
@@ -1269,7 +1263,7 @@ mod tests {
         for tile in tiled.tiles() {
             assert_eq!(tile.wear().total_writes, w0.total_writes);
         }
-        assert_eq!(tiled.search(&[0; 8]), Err(FerexError::Empty), "no live rows to serve");
+        assert_eq!(search_one(&tiled, &[0; 8]), Err(FerexError::Empty), "no live rows to serve");
     }
 
     #[test]
@@ -1286,7 +1280,7 @@ mod tests {
         tiled.delete(3).unwrap();
         assert_eq!(tiled.tombstones(), 2);
         assert!(matches!(tiled.delete(1), Err(FerexError::UnknownId { id: 1 })));
-        let out = tiled.search(&[1; 8]).unwrap();
+        let out = search_one(&tiled, &[1; 8]).unwrap();
         // ids 0..4 landed on slots 0..4 in order; id 1's slot is dead.
         assert!(out.distances[1].is_infinite());
         let report = tiled.compact();

@@ -7,11 +7,21 @@ use ferex_core::feasibility::{
 };
 use ferex_core::{
     find_minimal_cell, sizing_for, Backend, CellEncoding, CircuitConfig, DistanceMatrix,
-    DistanceMetric, EncodingLimits, FerexArray, RepairPolicy, RowHealth, SearchOutcome,
+    DistanceMetric, EncodingLimits, FerexArray, FerexError, RepairPolicy, RowHealth, SearchOutcome,
     SizingOptions,
 };
 use ferex_fefet::{Technology, VariationModel};
 use proptest::prelude::*;
+
+/// One search as a batch of one with query id `qid`.
+fn search_at(array: &FerexArray, q: &[u32], qid: u64) -> Result<SearchOutcome, FerexError> {
+    array.search_batch_at(&[q.to_vec()], &[qid]).map(|mut out| out.remove(0))
+}
+
+/// Query ids `0..n`.
+fn qids(n: usize) -> Vec<u64> {
+    (0..n as u64).collect()
+}
 
 proptest! {
     /// Every decomposition sums to the target, has the right arity, and
@@ -113,7 +123,7 @@ proptest! {
         for v in &data {
             array.store(v.clone()).unwrap();
         }
-        let out = array.search(&query).unwrap();
+        let out = search_at(&array, &query, 0).unwrap();
         let m = DistanceMetric::Hamming;
         for (r, stored) in data.iter().enumerate() {
             prop_assert_eq!(out.distances[r], m.vector_distance(&query, stored) as f64);
@@ -234,29 +244,32 @@ proptest! {
         }
 
         if served.is_empty() {
-            prop_assert!(array.search(&query).is_err(), "nothing left to serve");
+            prop_assert!(search_at(&array, &query, 0).is_err(), "nothing left to serve");
             return;
         }
-        let nearest = array.search(&query).unwrap().nearest;
+        let nearest = search_at(&array, &query, 0).unwrap().nearest;
         let want = *served
             .iter()
             .min_by(|&&a, &&b| distances[a].partial_cmp(&distances[b]).unwrap())
             .unwrap();
         prop_assert_eq!(nearest, want, "nearest must be the argmin over served rows");
 
-        // Batched serving is bit-identical to sequential, spares and all.
+        // One batch of n is bit-identical to n batches of one, spares
+        // and all.
         let queries = vec![query.clone(), data[served[0]].clone()];
-        let batched = array.search_batch(&queries).unwrap();
+        let ids = qids(queries.len());
+        let batched = array.search_batch_at(&queries, &ids).unwrap();
         let sequential: Vec<SearchOutcome> = queries
             .iter()
             .enumerate()
-            .map(|(i, q)| array.search_at(q, i as u64).unwrap())
+            .map(|(i, q)| search_at(&array, q, i as u64).unwrap())
             .collect();
         prop_assert_eq!(batched, sequential);
         if served.len() >= 2 {
-            let kb = array.search_k_batch(&queries, 2).unwrap();
+            let kb = array.search_k_batch_at(&queries, 2, &ids).unwrap();
             for (i, q) in queries.iter().enumerate() {
-                prop_assert_eq!(&kb[i], &array.search_k_at(q, 2, i as u64).unwrap());
+                let single = array.search_k_batch_at(std::slice::from_ref(q), 2, &[i as u64]).unwrap();
+                prop_assert_eq!(&kb[i], &single[0]);
             }
         }
     }
@@ -269,8 +282,8 @@ proptest! {
     /// batch grows), under hard-fault/aging plans, and with quarantined
     /// (excluded) or spared (remapped) rows in the mix. `distances_batch`
     /// must reproduce a loop of `distances` calls exactly, INFINITY
-    /// sentinels included, and the full search path on top of it must
-    /// reproduce `search_at`.
+    /// sentinels included, and one search batch must reproduce the same
+    /// queries served as batches of one.
     #[test]
     fn batched_kernels_are_bit_identical_to_scalar_path(
         data in prop::collection::vec(prop::collection::vec(0u32..4, 6), 2..7),
@@ -347,9 +360,9 @@ proptest! {
             let want = array.distances(q).unwrap();
             prop_assert_eq!(got.clone(), want, "kernel diverged from scalar path");
         }
-        let outcomes = array.search_batch(&queries).unwrap();
+        let outcomes = array.search_batch_at(&queries, &qids(queries.len())).unwrap();
         for (i, (q, got)) in queries.iter().zip(&outcomes).enumerate() {
-            prop_assert_eq!(got, &array.search_at(q, i as u64).unwrap());
+            prop_assert_eq!(got, &search_at(&array, q, i as u64).unwrap());
         }
     }
 
@@ -399,17 +412,17 @@ proptest! {
         };
         let mut set = ReplicaSet::new(replicas, data.clone(), metric, policy);
 
-        // Sequential serving mirrors the bare array's query-id stream.
+        // Batches of one mirror the bare array's query-id stream.
         for (i, q) in queries.iter().enumerate() {
-            let served = set.serve(q).unwrap();
-            prop_assert!(matches!(served.source, ServeSource::Replica(_)));
-            prop_assert_eq!(served.outcome, bare.search_at(q, i as u64).unwrap());
+            let (served, _) = set.serve(std::slice::from_ref(q), &[i as u64]).unwrap();
+            prop_assert!(matches!(served[0].source, ServeSource::Replica(_)));
+            prop_assert_eq!(&served[0].outcome, &search_at(&bare, q, i as u64).unwrap());
         }
-        // Batched serving mirrors the bare batched path (query ids 0..len).
-        prop_assert_eq!(
-            set.search_batch(&queries).unwrap(),
-            bare.search_batch(&queries).unwrap()
-        );
+        // One batch mirrors the bare batched path with the same ids.
+        let ids = qids(queries.len());
+        let (served, _) = set.serve(&queries, &ids).unwrap();
+        let outcomes: Vec<SearchOutcome> = served.into_iter().map(|s| s.outcome).collect();
+        prop_assert_eq!(outcomes, bare.search_batch_at(&queries, &ids).unwrap());
         prop_assert_eq!(set.stats().oracle_fallbacks, 0);
         prop_assert_eq!(set.stats().disagreements, 0);
     }

@@ -130,7 +130,7 @@ impl AmClassifier {
     }
 
     /// Classifies a batch of encoded queries through the batched serving
-    /// path ([`ferex_core::FerexArray::search_batch`]): the array is
+    /// path ([`ferex_core::Ferex::search_batch`]): the array is
     /// programmed once and the per-batch cell-current tables are shared
     /// across every query.
     ///

@@ -2,7 +2,7 @@
 //!
 //! Reference vectors are stored one per array row; a query is one
 //! associative search, and k > 1 uses the iterative LTA masking of
-//! [`ferex_core::FerexArray::search_k`]. This is the workload of the
+//! [`ferex_core::Ferex::search_k`]. This is the workload of the
 //! paper's Fig. 7 Monte-Carlo study (MNIST KNN worst cases).
 
 use crate::exact::ExactKnn;
@@ -103,7 +103,7 @@ impl AmKnn {
 
     /// Classifies a whole query batch: the array is programmed once, the
     /// k-nearest lists come through the batched serving path
-    /// ([`ferex_core::FerexArray::search_k_batch`]), and each list is
+    /// ([`ferex_core::Ferex::search_k_batch`]), and each list is
     /// majority-voted exactly as in [`AmKnn::classify`].
     ///
     /// # Errors

@@ -44,6 +44,11 @@ fn programmed_array(backend: Backend, dim: usize, rows: usize) -> FerexArray {
     programmed_metric_array(DistanceMetric::Manhattan, backend, dim, rows)
 }
 
+/// Query ids `0..n`.
+fn qids(n: usize) -> Vec<u64> {
+    (0..n as u64).collect()
+}
+
 /// Several threads serving the same batch over one shared `&FerexArray`
 /// all get results identical to a sequential call, on every backend.
 #[test]
@@ -51,12 +56,14 @@ fn concurrent_batches_match_sequential_on_all_backends() {
     for backend in backends() {
         let array = programmed_array(backend.clone(), 16, 12);
         let queries = random_vectors(8, 16, 22);
-        let sequential = array.search_batch(&queries).unwrap();
+        let ids = qids(queries.len());
+        let sequential = array.search_batch_at(&queries, &ids).unwrap();
 
         let shared = &array;
         let concurrent: Vec<_> = thread::scope(|scope| {
-            let handles: Vec<_> =
-                (0..4).map(|_| scope.spawn(|| shared.search_batch(&queries).unwrap())).collect();
+            let handles: Vec<_> = (0..4)
+                .map(|_| scope.spawn(|| shared.search_batch_at(&queries, &ids).unwrap()))
+                .collect();
             handles.into_iter().map(|h| h.join().expect("no panic")).collect()
         });
 
@@ -70,29 +77,44 @@ fn concurrent_batches_match_sequential_on_all_backends() {
     }
 }
 
-/// `search_k_batch` is bit-identical to a loop of `search_k` for every
-/// metric and every backend. A batch assigns query id `i` to the `i`-th
-/// query without touching the array's counter, so on a fresh array (counter
-/// at zero) the stateful sequential loop consumes the same noise streams —
-/// batch first, then the loop.
+/// One k-nearest batch of n is bit-identical to n batches of one with the
+/// same query ids, for every metric and every backend. The engine facade's
+/// stateful `search_k` loop draws ids `0, 1, …` from its own counter, so on
+/// a fresh engine it consumes the same noise streams as its id-`0..n`
+/// batch.
 #[test]
 fn search_k_batch_equals_sequential_loop_on_every_metric_and_backend() {
+    use ferex::core::Ferex;
+
     for metric in DistanceMetric::ALL {
         for backend in backends() {
             let array = programmed_metric_array(metric, backend.clone(), 10, 9);
             let queries = random_vectors(7, 10, 24);
+            let ids: Vec<u64> = (0..queries.len() as u64).map(|i| 3 * i + 1).collect();
             let k = 3;
-            let batched = array.search_k_batch(&queries, k).unwrap();
+            let batched = array.search_k_batch_at(&queries, k, &ids).unwrap();
 
-            let explicit: Vec<_> = queries
+            let singles: Vec<_> = queries
                 .iter()
-                .enumerate()
-                .map(|(i, q)| array.search_k_at(q, k, i as u64).unwrap())
+                .zip(&ids)
+                .map(|(q, &id)| {
+                    array.search_k_batch_at(std::slice::from_ref(q), k, &[id]).unwrap().remove(0)
+                })
                 .collect();
-            assert_eq!(batched, explicit, "{metric} {backend:?}: explicit query ids");
+            assert_eq!(batched, singles, "{metric} {backend:?}: batches of one");
 
+            let mut engine = Ferex::builder()
+                .metric(metric)
+                .bits(2)
+                .dim(10)
+                .backend(backend.clone())
+                .build()
+                .expect("builds");
+            engine.store_all(random_vectors(9, 10, 21)).unwrap();
+            engine.ensure_programmed().unwrap();
+            let batched = engine.search_k_batch(&queries, k).unwrap();
             let sequential: Vec<_> =
-                queries.iter().map(|q| array.search_k(q, k).unwrap()).collect();
+                queries.iter().map(|q| engine.search_k(q, k).unwrap()).collect();
             assert_eq!(batched, sequential, "{metric} {backend:?}: stateful loop");
         }
     }
@@ -104,12 +126,13 @@ fn concurrent_search_k_batches_match_sequential() {
     for backend in backends() {
         let array = programmed_array(backend.clone(), 12, 10);
         let queries = random_vectors(6, 12, 23);
-        let sequential = array.search_k_batch(&queries, 3).unwrap();
+        let ids = qids(queries.len());
+        let sequential = array.search_k_batch_at(&queries, 3, &ids).unwrap();
 
         let shared = &array;
         thread::scope(|scope| {
             let handles: Vec<_> = (0..3)
-                .map(|_| scope.spawn(|| shared.search_k_batch(&queries, 3).unwrap()))
+                .map(|_| scope.spawn(|| shared.search_k_batch_at(&queries, 3, &ids).unwrap()))
                 .collect();
             for h in handles {
                 assert_eq!(h.join().expect("no panic"), sequential, "backend {backend:?}");

@@ -6,7 +6,7 @@
 //! * **Bit-identity** — hedging, brownout demotion, and per-replica
 //!   latency models only move *when* batches complete, never *what* they
 //!   answer: every hedged completion reproduces the bare array's
-//!   `search_at` outcome for the same stable query id, across metrics and
+//!   batch-of-one outcome for the same stable query id, across metrics and
 //!   backends, and the serving counters still balance exactly.
 //! * **Pinned schedule** — a 3-replica set with replica 1 at a
 //!   deterministic 8x slowdown serves a 48-request burst on an exact,
@@ -96,7 +96,7 @@ fn request_strategy() -> impl Strategy<Value = (usize, u32, u64, Vec<u32>)> {
 
 proptest! {
     /// Hedged serving across metrics and backends: every completion is
-    /// bit-identical to the bare array's `search_at` oracle, and the
+    /// bit-identical to the bare array's batch-of-one oracle, and the
     /// counters balance with hedges in play.
     #[test]
     fn hedged_answers_are_bit_identical_to_the_bare_array(
@@ -155,7 +155,8 @@ proptest! {
             b
         };
         for c in &completions {
-            let want = bare.array().search_at(&by_qid[c.qid as usize], c.qid).expect("searches");
+            let query = by_qid[c.qid as usize].clone();
+            let want = bare.array().search_batch_at(&[query], &[c.qid]).expect("searches").remove(0);
             prop_assert_eq!(
                 &c.outcome.outcome, &want,
                 "qid {} answer drifted under hedging", c.qid

@@ -209,7 +209,10 @@ proptest! {
         // slot resolves to an id at the oracle-minimal distance.
         if leg != Leg::NoisyFaulted && !mirror.is_empty() {
             for (qi, probe) in mirror.values().take(3).enumerate() {
-                let out = array.search_at(probe, qi as u64).expect("live table serves");
+                let out = array
+                    .search_batch_at(std::slice::from_ref(probe), &[qi as u64])
+                    .expect("live table serves")
+                    .remove(0);
                 let got_id = array.id_at(out.nearest).expect("nearest slot must be live");
                 let got = mirror
                     .get(&got_id)

@@ -138,7 +138,8 @@ proptest! {
                 "qid {} served past its deadline ({} > {})",
                 c.qid, c.latency(), reqs[c.qid as usize].3
             );
-            let want = bare.array().search_at(&by_qid[c.qid as usize], c.qid).expect("searches");
+            let query = by_qid[c.qid as usize].clone();
+            let want = bare.array().search_batch_at(&[query], &[c.qid]).expect("searches").remove(0);
             prop_assert_eq!(&c.outcome.outcome, &want, "qid {} answer drifted", c.qid);
         }
     }

@@ -32,8 +32,8 @@ fn hdc_scale_tiling_is_exact_on_ideal_backend() {
         tiled.store(v.clone()).unwrap();
     }
     let query = random_vectors(1, dim, 2).remove(0);
-    let a = mono.search(&query).unwrap();
-    let b = tiled.search(&query).unwrap();
+    let a = mono.search_batch_at(std::slice::from_ref(&query), &[0]).unwrap().remove(0);
+    let b = tiled.search_batch(std::slice::from_ref(&query)).unwrap().remove(0);
     assert_eq!(a.distances, b.distances);
     assert_eq!(a.nearest, b.nearest);
     let m = DistanceMetric::Manhattan;
@@ -58,7 +58,7 @@ fn tiled_noisy_errors_average_out() {
     }
     tiled.program(); // explicit write→search transition for the noisy tiles
     let query = random_vectors(1, dim, 4).remove(0);
-    let out = tiled.search(&query).unwrap();
+    let out = tiled.search_batch(std::slice::from_ref(&query)).unwrap().remove(0);
     let m = DistanceMetric::Hamming;
     for (r, s) in stored.iter().enumerate() {
         let want = m.vector_distance(&query, s) as f64;
@@ -82,7 +82,7 @@ fn adc_readout_agrees_with_analog_decision() {
         array.store(v.clone()).unwrap();
     }
     let query = random_vectors(1, 32, 6).remove(0);
-    let analog = array.search(&query).unwrap();
+    let analog = array.search_batch_at(std::slice::from_ref(&query), &[0]).unwrap().remove(0);
     let adc = AdcParams { bits: 12, full_scale: Amp(0.0), ..Default::default() };
     let readout = array.read_digital(&query, &adc, 4).unwrap();
     let digital_nearest =
@@ -113,7 +113,7 @@ fn tiled_search_k_matches_brute_force() {
         tiled.store(v.clone()).unwrap();
     }
     let query = random_vectors(1, 20, 8).remove(0);
-    let top = tiled.search_k(&query, 5).unwrap();
+    let top = tiled.search_k_batch(std::slice::from_ref(&query), 5).unwrap().remove(0);
     let m = DistanceMetric::EuclideanSquared;
     let mut expect: Vec<usize> = (0..stored.len()).collect();
     expect.sort_by_key(|&i| (m.vector_distance(&query, &stored[i]), i));
@@ -143,7 +143,7 @@ fn failed_store_leaves_every_tile_untouched() {
     tiled.program();
     let query = random_vectors(1, dim, 32).remove(0);
     let snapshot: Vec<Vec<Vec<u32>>> = tiled.tiles().iter().map(|t| t.stored().to_vec()).collect();
-    let baseline = tiled.search(&query).unwrap();
+    let baseline = tiled.search_batch(std::slice::from_ref(&query)).unwrap().remove(0);
 
     // Out-of-range symbol in the final chunk: earlier tiles validate clean.
     let mut bad = random_vectors(1, dim, 33).remove(0);
@@ -156,7 +156,7 @@ fn failed_store_leaves_every_tile_untouched() {
         assert_eq!(tile.stored(), &before[..], "tile contents changed by a failed store");
         assert!(tile.is_programmed(), "failed store must not invalidate physical state");
     }
-    let after = tiled.search(&query).unwrap();
+    let after = tiled.search_batch(std::slice::from_ref(&query)).unwrap().remove(0);
     assert_eq!(after.distances, baseline.distances);
     assert_eq!(after.nearest, baseline.nearest);
 }
