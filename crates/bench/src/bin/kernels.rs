@@ -30,7 +30,7 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        seed: std::env::var("FEREX_BENCH_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(42),
+        seed: ferex_conformance::seed_from_env("FEREX_BENCH_SEED")?,
         report_path: None,
         check_path: None,
         gate_speedup: None,

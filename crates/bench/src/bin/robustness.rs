@@ -59,8 +59,8 @@
 //! CI mutation-soak job runs).
 
 use ferex_conformance::{
-    standard_chaos_report, standard_load_report, standard_load_v2_report, standard_mutation_report,
-    standard_recovery_report, standard_report,
+    seed_from_env, standard_chaos_report, standard_load_report, standard_load_v2_report,
+    standard_mutation_report, standard_recovery_report, standard_report,
 };
 use ferex_core::{Backend, CircuitConfig, DistanceMetric};
 use ferex_datasets::spec::UCIHAR;
@@ -88,10 +88,7 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        seed: std::env::var("FEREX_CONFORMANCE_SEED")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(42),
+        seed: seed_from_env("FEREX_CONFORMANCE_SEED")?,
         report_path: None,
         recovery_report_path: None,
         chaos_report_path: None,
@@ -378,20 +375,21 @@ fn load_v2_sweep(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         "scenario", "p50", "p99", "p999", "u-p50", "u-p99", "u-p999", "hedge", "demo", "goodput"
     );
     for s in &report.scenarios {
+        let (h, u) = (&s.hedged, &s.unhedged);
         println!(
             "{:>15} | {:>4}/{:>4}/{:>5} | {:>5}/{:>5}/{:>6} | {:>2}/{:>2} | {:>4} | {:>3}/{:>3}",
-            s.name,
-            s.p50,
-            s.p99,
-            s.p999,
-            s.unhedged_p50,
-            s.unhedged_p99,
-            s.unhedged_p999,
+            h.name,
+            h.p50,
+            h.p99,
+            h.p999,
+            u.p50,
+            u.p99,
+            u.p999,
             s.hedge_wins,
             s.hedges_issued,
             s.brownout_demotions,
-            s.goodput_milli,
-            s.unhedged_goodput_milli,
+            h.goodput_milli,
+            u.goodput_milli,
         );
     }
     if let Some(path) = &args.load_v2_report_path {
@@ -404,8 +402,9 @@ fn load_v2_sweep(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let broken: Vec<String> = report
         .scenarios
         .iter()
-        .filter(|s| !s.counters_balance() || s.recall_at_1 < 1.0)
-        .map(|s| format!("{} recall@1 {:.3}", s.name, s.recall_at_1))
+        .map(|s| &s.hedged)
+        .filter(|h| !h.counters_balance() || h.recall_at_1 < 1.0)
+        .map(|h| format!("{} recall@1 {:.3}", h.name, h.recall_at_1))
         .collect();
     if !broken.is_empty() {
         return Err(format!("v2 bookkeeping gate breached: {}", broken.join(", ")).into());
@@ -415,19 +414,19 @@ fn load_v2_sweep(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     // while the unhedged leg of the same cell blows past 5x it (i.e. the
     // slowdown is severe enough that the recovery is attributable to the
     // hedging machinery, not to a mild scenario).
-    let healthy = report.scenario("v2-all-healthy").ok_or("v2-all-healthy cell missing")?;
+    let healthy = &report.scenario("v2-all-healthy").ok_or("v2-all-healthy cell missing")?.hedged;
     let slow = report.scenario("v2-one-slow-8x").ok_or("v2-one-slow-8x cell missing")?;
-    if slow.p999 > 2 * healthy.p999 {
+    if slow.hedged.p999 > 2 * healthy.p999 {
         return Err(format!(
             "v2 SLO gate breached: hedged p999 {} > 2x all-healthy p999 {}",
-            slow.p999, healthy.p999
+            slow.hedged.p999, healthy.p999
         )
         .into());
     }
-    if slow.unhedged_p999 < 5 * healthy.p999 {
+    if slow.unhedged.p999 < 5 * healthy.p999 {
         return Err(format!(
             "v2 SLO gate vacuous: unhedged p999 {} < 5x all-healthy p999 {}",
-            slow.unhedged_p999, healthy.p999
+            slow.unhedged.p999, healthy.p999
         )
         .into());
     }

@@ -17,9 +17,9 @@
 //! the whole suite's runtime without exercising any batch kernel.
 
 use ferex_core::{Backend, CircuitConfig, DistanceMetric, Ferex};
+use ferex_json::{fields, Object, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Schema tag of the machine-readable report; bump on breaking changes.
@@ -332,48 +332,29 @@ impl KernelsReport {
 
     /// Serializes to the versioned JSON schema. Checksums are emitted as
     /// fixed-width hex strings so the file round-trips exactly; timings
-    /// are plain numbers (or absent on untimed runs) and carry no
-    /// determinism contract.
+    /// are numbers with one decimal (or `"timings": null` on untimed runs)
+    /// and carry no determinism contract.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"{SCHEMA}\",");
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"dim\": {DIM},");
-        let _ = writeln!(out, "  \"timed\": {},", self.timed);
-        out.push_str("  \"points\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            out.push_str("    {\n");
-            let _ = writeln!(out, "      \"id\": \"{}\",", p.point.id());
-            let _ = writeln!(out, "      \"metric\": \"{}\",", metric_slug(p.point.metric));
-            let _ = writeln!(out, "      \"bits\": {},", p.point.bits);
-            let _ = writeln!(out, "      \"backend\": \"{}\",", p.point.backend_name());
-            let _ = writeln!(out, "      \"rows\": {},", p.point.rows);
-            let _ = writeln!(out, "      \"dim\": {},", p.point.dim);
-            let _ = writeln!(out, "      \"batch\": {},", p.point.batch);
-            let _ = writeln!(out, "      \"kernel\": \"{}\",", p.kernel);
-            let _ = writeln!(out, "      \"checksum\": \"{:016x}\",", p.checksum);
+        let points = self.points.iter().map(|p| {
+            let q = &p.point;
+            let o = Object::pretty().field("id", q.id()).field("metric", metric_slug(q.metric));
+            let o = fields!(o; q => bits).field("backend", q.backend_name());
+            let o = fields!(o; q => rows, dim, batch; p => kernel);
+            let o = o.field("checksum", format!("{:016x}", p.checksum));
             match (p.batch_ns_per_query, p.scalar_ns_per_query, p.speedup()) {
-                (Some(b), Some(s), Some(x)) => {
-                    let _ = writeln!(out, "      \"batch_ns_per_query\": {},", json_num(b));
-                    let _ = writeln!(out, "      \"scalar_ns_per_query\": {},", json_num(s));
-                    let _ = writeln!(out, "      \"speedup\": {}", json_num(x));
-                }
-                _ => {
-                    let _ = writeln!(out, "      \"timings\": null");
-                }
+                (Some(b), Some(s), Some(x)) => o
+                    .field("batch_ns_per_query", Value::fixed(b, 1))
+                    .field("scalar_ns_per_query", Value::fixed(s, 1))
+                    .field("speedup", Value::fixed(x, 1)),
+                _ => o.field("timings", Value::null()),
             }
-            out.push_str(if i + 1 == self.points.len() { "    }\n" } else { "    },\n" });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        });
+        fields!(Object::pretty().field("schema", SCHEMA); self => seed)
+            .field("dim", DIM)
+            .field("timed", self.timed)
+            .field("points", Value::lines(points))
+            .to_json()
     }
-}
-
-/// Formats a finite float for JSON (fixed decimals keep the file diffable).
-fn json_num(x: f64) -> String {
-    assert!(x.is_finite(), "non-finite value in kernel report");
-    format!("{x:.1}")
 }
 
 /// Extracts `(schema, [(id, checksum-hex)])` from a previously written
@@ -502,6 +483,68 @@ mod tests {
         let drifts = drift(&tampered, &[result]).expect("compares");
         assert_eq!(drifts.len(), 1);
         assert!(drifts[0].contains("checksum drift"), "{drifts:?}");
+    }
+
+    #[test]
+    fn report_json_bytes_are_pinned() {
+        let point =
+            |metric, noisy, batch| GridPoint { metric, bits: 2, noisy, rows: 40, dim: 16, batch };
+        let report = KernelsReport {
+            seed: 7,
+            timed: true,
+            points: vec![
+                PointResult {
+                    point: point(DistanceMetric::Hamming, true, 8),
+                    kernel: "contrib-table",
+                    checksum: 0xdead_beef,
+                    batch_ns_per_query: Some(12.34),
+                    scalar_ns_per_query: Some(61.7),
+                },
+                PointResult {
+                    point: point(DistanceMetric::Manhattan, false, 1),
+                    kernel: "lut",
+                    checksum: 1,
+                    batch_ns_per_query: None,
+                    scalar_ns_per_query: None,
+                },
+            ],
+        };
+        let want = r#"{
+  "schema": "ferex-bench-kernels-v1",
+  "seed": 7,
+  "dim": 64,
+  "timed": true,
+  "points": [
+    {
+      "id": "hamming-b2/noisy/r40xd16/q8",
+      "metric": "hamming",
+      "bits": 2,
+      "backend": "noisy",
+      "rows": 40,
+      "dim": 16,
+      "batch": 8,
+      "kernel": "contrib-table",
+      "checksum": "00000000deadbeef",
+      "batch_ns_per_query": 12.3,
+      "scalar_ns_per_query": 61.7,
+      "speedup": 5.0
+    },
+    {
+      "id": "manhattan-b2/ideal/r40xd16/q1",
+      "metric": "manhattan",
+      "bits": 2,
+      "backend": "ideal",
+      "rows": 40,
+      "dim": 16,
+      "batch": 1,
+      "kernel": "lut",
+      "checksum": "0000000000000001",
+      "timings": null
+    }
+  ]
+}
+"#;
+        assert_eq!(report.to_json(), want);
     }
 
     #[test]

@@ -317,6 +317,28 @@ pub fn standard_specs(seed: u64) -> Vec<SweepSpec> {
     specs
 }
 
+/// Base seed of every standard report when none is given.
+const DEFAULT_SEED: u64 = 42;
+
+/// Reads a base seed from the environment variable `var`: unset means 42,
+/// and a value that is not a `u64` is an error naming the variable, so a
+/// typo never runs seed 42 under another seed's label.
+///
+/// # Errors
+///
+/// A set but unparsable (or non-UTF-8) value.
+pub fn seed_from_env(var: &str) -> Result<u64, String> {
+    parse_seed(var, std::env::var(var))
+}
+
+fn parse_seed(var: &str, value: Result<String, std::env::VarError>) -> Result<u64, String> {
+    match value {
+        Err(std::env::VarError::NotPresent) => Ok(DEFAULT_SEED),
+        Ok(v) => v.parse().map_err(|_| format!("{var}={v:?} is not a valid u64 seed")),
+        Err(e) => Err(format!("{var}: {e}")),
+    }
+}
+
 /// Generates the standard machine-readable conformance report from one
 /// seed. Deterministic: same seed, byte-identical report.
 pub fn standard_report(seed: u64) -> ConformanceReport {
@@ -504,6 +526,16 @@ pub fn standard_recovery_report(seed: u64) -> RecoveryReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn seed_variables_parse_strictly() {
+        use std::env::VarError;
+        assert_eq!(parse_seed("S", Err(VarError::NotPresent)), Ok(DEFAULT_SEED));
+        assert_eq!(parse_seed("S", Ok("1337".into())), Ok(1337));
+        let err = parse_seed("FEREX_CONFORMANCE_SEED", Ok("1337x".into())).unwrap_err();
+        assert!(err.contains("FEREX_CONFORMANCE_SEED") && err.contains("1337x"), "{err}");
+        assert!(parse_seed("S", Ok(String::new())).is_err());
+    }
 
     #[test]
     fn generated_vectors_are_in_range_and_deterministic() {

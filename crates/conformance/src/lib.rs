@@ -12,9 +12,9 @@
 //!    batch-vs-sequential × fault plan}: bit-exact Ideal agreement,
 //!    statistical-vs-device divergence tolerances, and recall degradation
 //!    curves under rising fault rates.
-//! 3. [`report`] — the machine-readable degradation report (hand-rolled
-//!    JSON; the vendored `serde` is an inert stub) consumed by
-//!    `ferex-bench`'s `robustness` binary and archived by CI.
+//! 3. [`report`] — the machine-readable reports (JSON through the shared
+//!    `ferex-json` writer; the vendored `serde` is an inert stub) consumed
+//!    by `ferex-bench`'s `robustness` binary and archived by CI.
 //! 4. [`chaos`] and [`load`] — deterministic serving soaks: replicated
 //!    serving under faults/kills/scrubs, and the virtual-time load
 //!    simulator driving the adaptive batch-forming loop with seeded
@@ -40,13 +40,12 @@ pub mod report;
 
 pub use chaos::{run_chaos, standard_chaos_report, standard_chaos_specs, ChaosSpec};
 pub use harness::{
-    run_recovery, run_sweep, standard_recovery_report, standard_recovery_specs, standard_report,
-    standard_specs, BackendKind, FaultKind, SweepSpec,
+    run_recovery, run_sweep, seed_from_env, standard_recovery_report, standard_recovery_specs,
+    standard_report, standard_specs, BackendKind, FaultKind, SweepSpec,
 };
 pub use load::{
-    percentile, run_load, run_load_detailed, run_load_v2, standard_load_report,
-    standard_load_specs, standard_load_v2_report, standard_load_v2_specs, ArrivalModel,
-    BurstWindow, LoadDetail, LoadSpec,
+    percentile, run_load, run_load_v2, standard_load_report, standard_load_specs,
+    standard_load_v2_report, standard_load_v2_specs, ArrivalModel, BurstWindow, LoadSpec,
 };
 pub use mutation::{
     run_churn_soak, run_mutation, standard_mutation_report, standard_mutation_specs, MutationSpec,

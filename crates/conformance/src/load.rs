@@ -174,36 +174,8 @@ struct FutureArrival {
     tenant: usize,
 }
 
-/// Per-replica latency telemetry of one load run, alongside the
-/// [`LoadScenario`] row — the raw material of the v2 report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LoadDetail {
-    /// Final serving-loop counters (hedges, wins, demotions, re-probes).
-    pub stats: ServeLoopStats,
-    /// Sampled modeled service ticks per replica, in charge order.
-    pub samples: Vec<Vec<u64>>,
-    /// Final per-replica latency EWMA, per-mille of the expected cost.
-    pub ewma_milli: Vec<u64>,
-    /// Hedges issued against each replica.
-    pub hedged_against: Vec<u64>,
-    /// Hedge wins credited to each replica.
-    pub hedge_wins_by: Vec<u64>,
-    /// Final per-replica brownout routing demerit, per-mille.
-    pub demerit_milli: Vec<u64>,
-}
-
 /// Runs one load scenario to completion (stream end + queue drain) and
 /// returns its report row.
-///
-/// # Panics
-///
-/// As [`run_load_detailed`].
-pub fn run_load(spec: &LoadSpec) -> LoadScenario {
-    run_load_detailed(spec).0
-}
-
-/// [`run_load`] plus the per-replica latency telemetry the v2 report is
-/// built from.
 ///
 /// # Panics
 ///
@@ -211,7 +183,14 @@ pub fn run_load(spec: &LoadSpec) -> LoadScenario {
 /// latency-model indices, invalid quorum or hedging knobs), on encoding
 /// failure, and when the run fails to drain within `max_ticks` — all
 /// deterministic spec bugs, not data-dependent conditions.
-pub fn run_load_detailed(spec: &LoadSpec) -> (LoadScenario, LoadDetail) {
+pub fn run_load(spec: &LoadSpec) -> LoadScenario {
+    run_load_detailed(spec).0
+}
+
+/// [`run_load`] plus the final serving-loop counters (hedges, wins,
+/// demotions, re-probes) and per-replica latency telemetry the v2 report
+/// is built from.
+fn run_load_detailed(spec: &LoadSpec) -> (LoadScenario, ServeLoopStats, Vec<LoadV2Replica>) {
     assert!(spec.tenants >= 1, "load scenario needs at least one tenant");
     assert!(spec.n_requests >= 1, "load scenario needs at least one request");
     if let Some((r, _)) = spec.kill {
@@ -414,16 +393,24 @@ pub fn run_load_detailed(spec: &LoadSpec) -> (LoadScenario, LoadDetail) {
     latencies.sort_unstable();
     let goodput_milli = served.saturating_mul(1000) / ticks;
     let recall_at_1 = if served == 0 { 1.0 } else { hits as f64 / served as f64 };
-    let detail = LoadDetail {
-        stats,
-        samples: (0..spec.replicas).map(|i| sim.replica_samples(i).to_vec()).collect(),
-        ewma_milli: sim.latency_ewma_milli().to_vec(),
-        hedged_against: sim.hedged_against().to_vec(),
-        hedge_wins_by: sim.hedge_wins_by().to_vec(),
-        demerit_milli: (0..spec.replicas)
-            .map(|i| sim.set().status(i).latency_demerit_milli)
-            .collect(),
-    };
+    let per_replica = (0..spec.replicas)
+        .map(|i| {
+            let mut sorted = sim.replica_samples(i).to_vec();
+            sorted.sort_unstable();
+            LoadV2Replica {
+                replica: i,
+                model: replica_model_label(spec, i),
+                reads: sorted.len() as u64,
+                p50_ticks: percentile(&sorted, 50, 100),
+                p99_ticks: percentile(&sorted, 99, 100),
+                max_ticks: sorted.last().copied().unwrap_or(0),
+                ewma_milli: sim.latency_ewma_milli().get(i).copied().unwrap_or(1000),
+                hedged_against: sim.hedged_against().get(i).copied().unwrap_or(0),
+                hedge_wins: sim.hedge_wins_by().get(i).copied().unwrap_or(0),
+                demerit_milli: sim.set().status(i).latency_demerit_milli,
+            }
+        })
+        .collect();
     let scenario = LoadScenario {
         name: spec.name.to_string(),
         metric: metric_label(spec.metric).to_string(),
@@ -432,10 +419,7 @@ pub fn run_load_detailed(spec: &LoadSpec) -> (LoadScenario, LoadDetail) {
         dim: spec.dim,
         tenants: spec.tenants,
         arrivals: spec.arrivals.label(),
-        burst: match spec.burst {
-            Some(b) => format!("{}..{}x{}", b.from_tick, b.until_tick, b.mult),
-            None => "none".to_string(),
-        },
+        burst: label(spec.burst, |b| format!("{}..{}x{}", b.from_tick, b.until_tick, b.mult)),
         hot_tenant: spec.hot_tenant,
         n_requests: spec.n_requests,
         target_batch: spec.target_batch,
@@ -447,8 +431,8 @@ pub fn run_load_detailed(spec: &LoadSpec) -> (LoadScenario, LoadDetail) {
         replicas: spec.replicas,
         reads: spec.reads,
         agree: spec.agree,
-        kill: chaos_label(spec.kill),
-        revive: chaos_label(spec.revive),
+        kill: replica_label(spec.kill),
+        revive: replica_label(spec.revive),
         submitted: stats.submitted,
         served,
         shed_capacity: stats.shed_capacity,
@@ -467,7 +451,7 @@ pub fn run_load_detailed(spec: &LoadSpec) -> (LoadScenario, LoadDetail) {
         tenant_served: sim.served_per_tenant().to_vec(),
         tenant_shed: sim.shed_per_tenant().to_vec(),
     };
-    (scenario, detail)
+    (scenario, stats, per_replica)
 }
 
 /// Integer Bernoulli threshold for one sub-slot: `p = rate_milli / (1000 ·
@@ -487,11 +471,15 @@ fn pick_tenant(draw: u64, tenants: usize, hot: Option<usize>) -> usize {
     }
 }
 
-fn chaos_label(event: Option<(usize, u64)>) -> String {
-    match event {
-        Some((r, at)) => format!("r{r}@{at}"),
-        None => "none".to_string(),
-    }
+/// Report label of an optional knob: `none`, or the knob rendered by `f`.
+fn label<T>(knob: Option<T>, f: impl FnOnce(T) -> String) -> String {
+    knob.map_or_else(|| "none".to_string(), f)
+}
+
+/// `r{replica}@{value}` label of a per-replica event (kill, revive,
+/// degrade), or `none`.
+fn replica_label(event: Option<(usize, u64)>) -> String {
+    label(event, |(r, v)| format!("r{r}@{v}"))
 }
 
 /// The fixed scenario matrix behind the standard load report. All cells
@@ -686,74 +674,24 @@ pub fn standard_load_v2_specs(seed: u64) -> Vec<LoadSpec> {
 ///
 /// # Panics
 ///
-/// As [`run_load_detailed`].
+/// As [`run_load`].
 pub fn run_load_v2(spec: &LoadSpec) -> LoadV2Scenario {
-    let (hedged, detail) = run_load_detailed(spec);
-    let unhedged_spec = LoadSpec { hedge: None, brownout: None, ..spec.clone() };
-    let (unhedged, _) = run_load_detailed(&unhedged_spec);
-    let per_replica = (0..spec.replicas)
-        .map(|i| {
-            let mut sorted = detail.samples.get(i).cloned().unwrap_or_default();
-            sorted.sort_unstable();
-            LoadV2Replica {
-                replica: i,
-                model: replica_model_label(spec, i),
-                reads: sorted.len() as u64,
-                p50_ticks: percentile(&sorted, 50, 100),
-                p99_ticks: percentile(&sorted, 99, 100),
-                max_ticks: sorted.last().copied().unwrap_or(0),
-                ewma_milli: detail.ewma_milli.get(i).copied().unwrap_or(1000),
-                hedged_against: detail.hedged_against.get(i).copied().unwrap_or(0),
-                hedge_wins: detail.hedge_wins_by.get(i).copied().unwrap_or(0),
-                demerit_milli: detail.demerit_milli.get(i).copied().unwrap_or(0),
-            }
-        })
-        .collect();
+    let (hedged, stats, per_replica) = run_load_detailed(spec);
+    let unhedged = run_load(&LoadSpec { hedge: None, brownout: None, ..spec.clone() });
     LoadV2Scenario {
-        name: spec.name.to_string(),
-        metric: metric_label(spec.metric).to_string(),
-        backend: spec.backend.label().to_string(),
-        arrivals: spec.arrivals.label(),
-        n_requests: spec.n_requests,
-        target_batch: spec.target_batch,
-        deadline_ticks: spec.deadline_ticks,
+        hedged,
+        unhedged,
         max_wait_ticks: spec.max_wait_ticks,
-        replicas: spec.replicas,
-        reads: spec.reads,
-        agree: spec.agree,
         slow: slow_label(&spec.slow_replicas),
-        degrade: match spec.degrade {
-            Some((r, d)) => format!("r{r}@{d}"),
-            None => "none".to_string(),
-        },
-        hedge: match spec.hedge {
-            Some(h) => format!("q={},b={}", h.quantile_milli, h.budget_milli),
-            None => "none".to_string(),
-        },
-        brownout: match spec.brownout {
-            Some(b) => format!("t={},rp={}", b.demote_threshold_milli, b.reprobe_ticks),
-            None => "none".to_string(),
-        },
-        submitted: hedged.submitted,
-        served: hedged.served,
-        shed_capacity: hedged.shed_capacity,
-        shed_deadline: hedged.shed_deadline,
-        batches: hedged.batches,
-        hedges_issued: detail.stats.hedges_issued,
-        hedge_wins: detail.stats.hedge_wins,
-        brownout_demotions: detail.stats.brownout_demotions,
-        reprobes: detail.stats.reprobes,
-        p50: hedged.p50,
-        p99: hedged.p99,
-        p999: hedged.p999,
-        max_latency: hedged.max_latency,
-        goodput_milli: hedged.goodput_milli,
-        recall_at_1: hedged.recall_at_1,
-        unhedged_served: unhedged.served,
-        unhedged_p50: unhedged.p50,
-        unhedged_p99: unhedged.p99,
-        unhedged_p999: unhedged.p999,
-        unhedged_goodput_milli: unhedged.goodput_milli,
+        degrade: replica_label(spec.degrade),
+        hedge: label(spec.hedge, |h| format!("q={},b={}", h.quantile_milli, h.budget_milli)),
+        brownout: label(spec.brownout, |b| {
+            format!("t={},rp={}", b.demote_threshold_milli, b.reprobe_ticks)
+        }),
+        hedges_issued: stats.hedges_issued,
+        hedge_wins: stats.hedge_wins,
+        brownout_demotions: stats.brownout_demotions,
+        reprobes: stats.reprobes,
         per_replica,
     }
 }

@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn conformance_seed() -> u64 {
-    std::env::var("FEREX_CONFORMANCE_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(42)
+    ferex_conformance::seed_from_env("FEREX_CONFORMANCE_SEED").unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// One search as a batch of one with query id `qid`.

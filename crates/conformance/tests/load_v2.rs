@@ -28,25 +28,22 @@ fn v2_counters_balance_and_recall_is_exact() {
         let report = standard_load_v2_report(seed);
         assert_eq!(report.scenarios.len(), standard_load_v2_specs(seed).len());
         for s in &report.scenarios {
-            assert!(s.counters_balance(), "seed {seed} {}: counters unbalanced", s.name);
-            assert!(s.served > 0, "seed {seed} {}: nothing served", s.name);
+            let (h, name) = (&s.hedged, &s.hedged.name);
+            assert!(h.counters_balance(), "seed {seed} {name}: counters unbalanced");
+            assert!(h.served > 0, "seed {seed} {name}: nothing served");
             assert_eq!(
-                s.recall_at_1, 1.0,
-                "seed {seed} {}: hedged answers must match the oracle",
-                s.name
+                h.recall_at_1, 1.0,
+                "seed {seed} {name}: hedged answers must match the oracle"
             );
             // The unhedged leg resubmits the same stream.
-            assert_eq!(s.submitted, 240, "seed {seed} {}: stream length", s.name);
-            assert!(
-                s.unhedged_served <= s.submitted,
-                "seed {seed} {}: unhedged leg overserved",
-                s.name
-            );
+            assert_eq!(h.submitted, 240, "seed {seed} {name}: stream length");
+            assert_eq!(s.unhedged.submitted, h.submitted, "seed {seed} {name}: unhedged stream");
+            assert!(s.unhedged.counters_balance(), "seed {seed} {name}: unhedged unbalanced");
             // Per-replica hedge attribution sums to the scenario counters.
             let against: u64 = s.per_replica.iter().map(|r| r.hedged_against).sum();
             let wins: u64 = s.per_replica.iter().map(|r| r.hedge_wins).sum();
-            assert_eq!(against, s.hedges_issued, "seed {seed} {}: hedge attribution", s.name);
-            assert_eq!(wins, s.hedge_wins, "seed {seed} {}: win attribution", s.name);
+            assert_eq!(against, s.hedges_issued, "seed {seed} {name}: hedge attribution");
+            assert_eq!(wins, s.hedge_wins, "seed {seed} {name}: win attribution");
         }
     }
 }
@@ -59,19 +56,19 @@ fn v2_counters_balance_and_recall_is_exact() {
 fn v2_slo_gate_one_slow_8x() {
     for seed in SEEDS {
         let report = standard_load_v2_report(seed);
-        let healthy = report.scenario("v2-all-healthy").expect("all-healthy cell");
+        let healthy = &report.scenario("v2-all-healthy").expect("all-healthy cell").hedged;
         let slow = report.scenario("v2-one-slow-8x").expect("8x cell");
         assert!(
-            slow.p999 <= 2 * healthy.p999,
+            slow.hedged.p999 <= 2 * healthy.p999,
             "seed {seed}: hedged p999 {} exceeds 2x all-healthy p999 {}",
-            slow.p999,
+            slow.hedged.p999,
             healthy.p999
         );
         assert!(
-            slow.unhedged_p999 >= 5 * healthy.p999,
+            slow.unhedged.p999 >= 5 * healthy.p999,
             "seed {seed}: unhedged p999 {} under 5x all-healthy p999 {} — slowdown too mild \
              for the gate to mean anything",
-            slow.unhedged_p999,
+            slow.unhedged.p999,
             healthy.p999
         );
         // The recovery is attributable: the slow replica was demoted and
@@ -92,7 +89,7 @@ fn v2_slo_gate_one_slow_8x() {
 fn v2_unhedged_tail_grows_with_slowdown_severity() {
     for seed in SEEDS {
         let report = standard_load_v2_report(seed);
-        let p999 = |name: &str| report.scenario(name).expect(name).unhedged_p999;
+        let p999 = |name: &str| report.scenario(name).expect(name).unhedged.p999;
         assert!(
             p999("v2-one-slow-2x") < p999("v2-one-slow-4x")
                 && p999("v2-one-slow-4x") < p999("v2-one-slow-8x"),
@@ -110,8 +107,9 @@ fn v2_all_healthy_legs_agree() {
         let report = standard_load_v2_report(seed);
         let h = report.scenario("v2-all-healthy").expect("all-healthy cell");
         assert_eq!(h.brownout_demotions, 0, "seed {seed}: healthy replica demoted");
-        assert_eq!((h.p50, h.p99, h.p999), (h.unhedged_p50, h.unhedged_p99, h.unhedged_p999));
-        assert_eq!(h.served, h.unhedged_served);
+        let (a, b) = (&h.hedged, &h.unhedged);
+        assert_eq!((a.p50, a.p99, a.p999), (b.p50, b.p99, b.p999));
+        assert_eq!(a.served, b.served);
     }
 }
 

@@ -17,7 +17,7 @@
 use ferex_conformance::{standard_mutation_report, MutationReport};
 
 fn conformance_seed() -> u64 {
-    std::env::var("FEREX_CONFORMANCE_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(42)
+    ferex_conformance::seed_from_env("FEREX_CONFORMANCE_SEED").unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[test]

@@ -1,7 +1,7 @@
 #![forbid(unsafe_code)]
 //! # ferex-lint — workspace determinism & panic-safety analyzer
 //!
-//! A self-contained, dependency-free static analyzer that enforces the
+//! A self-contained static analyzer that enforces the
 //! reproduction's serving-layer invariants at commit time:
 //!
 //! - **determinism** — no wall clocks (`Instant`/`SystemTime`), no
@@ -27,9 +27,9 @@
 //!
 //! The architecture is a hand-rolled [`lexer`] (strings and comments
 //! can never false-positive), token-stream [`rules`], and a tiny
-//! hand-written TOML subset for the [`baseline`] — zero dependencies,
-//! so the analyzer builds in the same offline environment as the rest
-//! of the workspace.
+//! hand-written TOML subset for the [`baseline`]. Its only dependency
+//! is the in-workspace `ferex-json` report writer, so the analyzer
+//! builds in the same offline environment as the rest of the workspace.
 
 pub mod baseline;
 pub mod callgraph;
@@ -45,6 +45,7 @@ pub use config::LintConfig;
 pub use rules::{Diagnostic, Scope};
 pub use scan::{run_scan, ScanReport};
 
+use ferex_json::{fields, Object, Value};
 use std::path::Path;
 
 /// Scans `root` and holds it against the baseline text (empty string →
@@ -66,56 +67,75 @@ pub fn check(
 }
 
 /// Renders the scan as versioned machine-readable JSON (the CI
-/// artifact). Hand-rolled like the conformance reports — same schema
-/// discipline: bump the schema id on any shape change.
+/// artifact), through the same `ferex-json` writer as every other report.
+/// Bump the schema id on any shape change.
 pub fn json_report(report: &ScanReport, cmp: &Comparison) -> String {
-    let mut out = String::from("{\n  \"schema\": \"ferex-lint-v2\",\n");
-    out.push_str(&format!("  \"files_scanned\": {},\n", report.files_scanned));
-    out.push_str(&format!(
-        "  \"new_violations\": {},\n  \"stale_baseline_entries\": {},\n\
-         \x20 \"new_taint_findings\": {},\n  \"stale_taint_fingerprints\": {},\n",
-        cmp.new_violations.len(),
-        cmp.stale.len(),
-        cmp.new_taint.len(),
-        cmp.stale_taint.len()
-    ));
-    out.push_str("  \"diagnostics\": [\n");
-    for (i, d) in report.diagnostics.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"message\": \"{}\"",
-            json_escape(&d.file),
-            d.line,
-            json_escape(d.rule),
-            json_escape(&d.message),
-        ));
+    let diagnostics = report.diagnostics.iter().map(|d| {
+        let mut o = fields!(Object::inline(); d => file, line, rule, message);
         if let Some(q) = &d.qualified_fn {
-            out.push_str(&format!(", \"fn\": \"{}\"", json_escape(q)));
+            o = o.field("fn", q);
         }
         if !d.chain.is_empty() {
-            let links: Vec<String> =
-                d.chain.iter().map(|c| format!("\"{}\"", json_escape(c))).collect();
-            out.push_str(&format!(", \"chain\": [{}]", links.join(", ")));
+            o = o.field("chain", &d.chain);
         }
         if let Some(fp) = taint::fingerprint(d) {
-            out.push_str(&format!(", \"fingerprint\": \"{}\"", json_escape(&fp)));
+            o = o.field("fingerprint", fp);
         }
-        out.push_str(&format!("}}{}\n", if i + 1 < report.diagnostics.len() { "," } else { "" }));
-    }
-    out.push_str("  ]\n}\n");
-    out
+        o
+    });
+    Object::pretty()
+        .field("schema", "ferex-lint-v2")
+        .field("files_scanned", report.files_scanned)
+        .field("new_violations", cmp.new_violations.len())
+        .field("stale_baseline_entries", cmp.stale.len())
+        .field("new_taint_findings", cmp.new_taint.len())
+        .field("stale_taint_fingerprints", cmp.stale_taint.len())
+        .field("diagnostics", Value::lines(diagnostics))
+        .to_json()
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn json_report_bytes_are_pinned() {
+        let taint = Diagnostic {
+            file: "crates/core/src/serve.rs".to_string(),
+            line: 12,
+            rule: "taint/panic",
+            message: "reaches `unwrap` via \"helper\"".to_string(),
+            qualified_fn: Some("core::serve::poll".to_string()),
+            chain: vec!["core::serve::poll".to_string(), "core::serve::helper".to_string()],
+        };
+        let plain = Diagnostic {
+            file: "crates/core/src/array.rs".to_string(),
+            line: 7,
+            rule: "panic-safety/index",
+            message: "unchecked index".to_string(),
+            qualified_fn: None,
+            chain: Vec::new(),
+        };
+        let report = ScanReport { diagnostics: vec![taint, plain], files_scanned: 3 };
+        let cmp = Comparison {
+            new_violations: Vec::new(),
+            stale: Vec::new(),
+            new_taint: vec!["fp".to_string()],
+            stale_taint: Vec::new(),
+        };
+        let want = r#"{
+  "schema": "ferex-lint-v2",
+  "files_scanned": 3,
+  "new_violations": 0,
+  "stale_baseline_entries": 0,
+  "new_taint_findings": 1,
+  "stale_taint_fingerprints": 0,
+  "diagnostics": [
+    {"file": "crates/core/src/serve.rs", "line": 12, "rule": "taint/panic", "message": "reaches `unwrap` via \"helper\"", "fn": "core::serve::poll", "chain": ["core::serve::poll", "core::serve::helper"], "fingerprint": "taint/panic|core::serve::poll|core::serve::poll->core::serve::helper"},
+    {"file": "crates/core/src/array.rs", "line": 7, "rule": "panic-safety/index", "message": "unchecked index"}
+  ]
+}
+"#;
+        assert_eq!(json_report(&report, &cmp), want);
     }
-    out
 }
