@@ -447,7 +447,7 @@ mod tests {
     #[test]
     fn measured_points_are_bit_identical_and_label_their_kernel() {
         for (noisy, metric, batch, kernel) in [
-            (false, DistanceMetric::Hamming, 5, "bitplane-popcount"),
+            (false, DistanceMetric::Hamming, 5, "lut"),
             (false, DistanceMetric::Manhattan, 5, "lut"),
             (true, DistanceMetric::Hamming, 1, "scalar"),
             (true, DistanceMetric::EuclideanSquared, 5, "contrib-table"),

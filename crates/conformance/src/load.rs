@@ -243,7 +243,6 @@ fn run_load_detailed(spec: &LoadSpec) -> (LoadScenario, ServeLoopStats, Vec<Load
     }
     let set = ReplicaSet::new(
         replicas,
-        stored.clone(),
         spec.metric,
         ReplicaPolicy {
             quorum: QuorumPolicy { reads: spec.reads, agree: spec.agree },

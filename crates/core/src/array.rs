@@ -35,6 +35,7 @@
 //! any grouping of the same `(query, qid)` pairs into batches produces
 //! bit-identical outcomes.
 
+use crate::distance::DistanceMetric;
 use crate::encoding::CellEncoding;
 use crate::error::FerexError;
 use crate::health::{
@@ -163,11 +164,8 @@ pub struct FerexArray {
     encoding: CellEncoding,
     dim: usize,
     backend: Backend,
-    stored: Vec<Vec<u32>>,
-    /// Structure-of-arrays mirror of `stored`: all symbol codes quantized
-    /// to `u8` in one contiguous `rows × dim` buffer, maintained eagerly by
-    /// every mutator. The batched Ideal kernels read this instead of the
-    /// row-per-allocation `Vec<Vec<u32>>`.
+    /// The stored vectors: one `u8` code per symbol in one contiguous
+    /// `rows × dim` buffer — the array's only copy of its logical rows.
     codes: SoaCodes,
     crossbar: Option<Crossbar>,
     /// Per-cell variation samples of the `Noisy` backend (row-major).
@@ -216,7 +214,6 @@ impl FerexArray {
             encoding,
             dim,
             backend,
-            stored: Vec::new(),
             codes: SoaCodes::new(dim),
             crossbar: None,
             noisy_samples: None,
@@ -235,12 +232,12 @@ impl FerexArray {
 
     /// Number of stored vectors (array rows in use).
     pub fn len(&self) -> usize {
-        self.stored.len()
+        self.codes.rows()
     }
 
     /// `true` if no vectors are stored.
     pub fn is_empty(&self) -> bool {
-        self.stored.is_empty()
+        self.len() == 0
     }
 
     /// Symbols per stored vector.
@@ -263,24 +260,39 @@ impl FerexArray {
         &self.backend
     }
 
-    /// The stored vectors, in row order.
-    pub fn stored(&self) -> &[Vec<u32>] {
-        &self.stored
+    /// The vector stored at row `r`, decoded from the code buffer, or
+    /// `None` past the last row.
+    pub fn row(&self, r: usize) -> Option<Vec<u32>> {
+        self.codes.row(r).map(|codes| codes.iter().map(|&c| u32::from(c)).collect())
+    }
+
+    /// Exact digital distance of `query` to every stored row under
+    /// `metric`, read from the logical codes alone — faults live only in
+    /// physical state, so none can reach this answer. Rows that are not
+    /// live (free or tombstoned slots) read as `+∞`, exactly as the device
+    /// kernels exclude them. The replica set's oracle fallback.
+    pub(crate) fn exact_distances(&self, query: &[u32], metric: DistanceMetric) -> Vec<f64> {
+        self.codes
+            .iter()
+            .enumerate()
+            .map(|(r, codes)| {
+                if !self.slot_live(r) {
+                    return f64::INFINITY;
+                }
+                let d: u64 =
+                    codes.iter().zip(query).map(|(&s, &q)| metric.distance(q, s.into())).sum();
+                d as f64
+            })
+            .collect()
     }
 
     /// Swaps in a new encoding (reconfiguration to another distance
     /// function). Stored data is kept; the physical array will be
     /// re-programmed on the next search.
     pub fn reconfigure(&mut self, encoding: CellEncoding) -> Result<(), FerexError> {
-        for v in &self.stored {
-            for &s in v {
-                if s as usize >= encoding.n_stored() {
-                    return Err(FerexError::SymbolOutOfRange {
-                        value: s,
-                        n_values: encoding.n_stored(),
-                    });
-                }
-            }
+        let n_values = encoding.n_stored();
+        if let Some(&c) = self.codes.iter().flatten().find(|&&c| usize::from(c) >= n_values) {
+            return Err(FerexError::SymbolOutOfRange { value: u32::from(c), n_values });
         }
         self.encoding = encoding;
         self.invalidate_physical_state();
@@ -315,17 +327,17 @@ impl FerexArray {
     /// variation draws and fault-map entries stay exactly where the
     /// policy-free array puts them), then spares, then sentinels.
     fn physical_rows(&self) -> usize {
-        self.stored.len() + self.spares() + self.sentinels()
+        self.len() + self.spares() + self.sentinels()
     }
 
     /// Physical index of spare slot `j`.
     fn spare_phys(&self, j: usize) -> usize {
-        self.stored.len() + j
+        self.len() + j
     }
 
     /// Physical index of sentinel `j`.
     fn sentinel_phys(&self, j: usize) -> usize {
-        self.stored.len() + self.spares() + j
+        self.len() + self.spares() + j
     }
 
     /// The physical row currently serving logical row `r`, or `None` when
@@ -375,7 +387,10 @@ impl FerexArray {
     /// Checks that a vector has this array's dimension and that every
     /// symbol is representable under the current encoding, without storing
     /// anything (used by callers that need all-or-nothing store semantics,
-    /// e.g. [`crate::tile::TiledArray::store`]).
+    /// e.g. [`crate::tile::TiledArray::store`]). Rows are stored as one
+    /// byte per symbol, so no symbol may reach 256 even under a hand-built
+    /// encoding with more levels (the sizing pipeline caps alphabets at
+    /// 64).
     ///
     /// # Errors
     ///
@@ -384,15 +399,19 @@ impl FerexArray {
         if vector.len() != self.dim {
             return Err(FerexError::DimensionMismatch { expected: self.dim, got: vector.len() });
         }
-        for &s in vector {
-            if s as usize >= self.encoding.n_stored() {
-                return Err(FerexError::SymbolOutOfRange {
-                    value: s,
-                    n_values: self.encoding.n_stored(),
-                });
-            }
+        let n_values = self.encoding.n_stored().min(soa::CODE_LEVELS);
+        match vector.iter().find(|&&s| s as usize >= n_values) {
+            Some(&value) => Err(FerexError::SymbolOutOfRange { value, n_values }),
+            None => Ok(()),
         }
-        Ok(())
+    }
+
+    fn check_row(&self, row: usize) -> Result<(), FerexError> {
+        if row < self.len() {
+            Ok(())
+        } else {
+            Err(FerexError::RowOutOfRange { row, rows: self.len() })
+        }
     }
 
     /// Stores one vector into the next free row.
@@ -410,7 +429,6 @@ impl FerexArray {
         }
         self.validate(&vector)?;
         self.codes.push_row(&vector);
-        self.stored.push(vector);
         self.invalidate_physical_state(); // re-program lazily
         Ok(())
     }
@@ -430,7 +448,6 @@ impl FerexArray {
     /// drops the slot table and wear counters — the array reverts to the
     /// positional-mutator lifecycle.
     pub fn clear(&mut self) {
-        self.stored.clear();
         self.codes.clear();
         self.mutation = None;
         self.invalidate_physical_state();
@@ -450,8 +467,8 @@ impl FerexArray {
             self.mutation.is_none(),
             "positional remove on a mutation-enabled array; use delete(id)"
         );
-        assert!(row < self.stored.len(), "row {row} out of range");
-        let removed = self.stored.remove(row);
+        assert!(row < self.len(), "row {row} out of range");
+        let removed = self.row(row).unwrap_or_default();
         self.codes.remove_row(row);
         self.invalidate_physical_state();
         removed
@@ -461,23 +478,18 @@ impl FerexArray {
     ///
     /// # Errors
     ///
-    /// Validation errors; [`FerexError::InvalidPolicy`] on a
-    /// mutation-enabled array (use [`FerexArray::update_id`]). The array
-    /// is unchanged on error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range.
+    /// [`FerexError::RowOutOfRange`] past the last row; validation
+    /// errors; [`FerexError::InvalidPolicy`] on a mutation-enabled array
+    /// (use [`FerexArray::update_id`]). The array is unchanged on error.
     pub fn update(&mut self, row: usize, vector: Vec<u32>) -> Result<(), FerexError> {
         if self.mutation.is_some() {
             return Err(FerexError::InvalidPolicy {
                 what: "positional update on a mutation-enabled array; use update_id(id, vector)",
             });
         }
-        assert!(row < self.stored.len(), "row {row} out of range");
+        self.check_row(row)?;
         self.validate(&vector)?;
         self.codes.set_row(row, &vector);
-        self.stored[row] = vector; // lint:allow(panic-safety/index, reason = "row asserted in range above")
         self.invalidate_physical_state();
         Ok(())
     }
@@ -512,14 +524,14 @@ impl FerexArray {
         // A repair policy reserves spare and sentinel rows *after* the
         // logical rows, so the logical rows' variation draws and fault-map
         // entries are byte-identical to the policy-free layout.
-        if self.repair.is_some() && self.row_map.len() != self.stored.len() {
-            self.row_map = vec![RowHealth::Healthy; self.stored.len()];
+        if self.repair.is_some() && self.row_map.len() != self.len() {
+            self.row_map = vec![RowHealth::Healthy; self.len()];
             self.spare_state = vec![SpareState::Free; self.spares()];
         }
         match &self.backend {
             Backend::Ideal => {}
             Backend::Circuit(cfg) => {
-                if self.crossbar.is_some() || self.stored.is_empty() {
+                if self.crossbar.is_some() || self.is_empty() {
                     return;
                 }
                 let rows = self.physical_rows();
@@ -535,7 +547,8 @@ impl FerexArray {
                 );
                 let fault_map = (!plan.is_benign()).then(|| plan.fault_map(self.seed, rows * cols));
                 let aged = plan.has_aging().then(|| plan.aged_vth_table(&self.tech));
-                for (r, vector) in self.stored.iter().enumerate() {
+                for (r, codes) in self.codes.iter().enumerate() {
+                    let vector: Vec<u32> = codes.iter().map(|&c| u32::from(c)).collect();
                     program_crossbar_row(
                         &mut xb,
                         &self.tech,
@@ -544,7 +557,7 @@ impl FerexArray {
                         fault_map.as_deref(),
                         aged.as_deref(),
                         r,
-                        vector,
+                        &vector,
                     );
                 }
                 // Sentinels carry known codewords; spares stay erased until
@@ -567,7 +580,7 @@ impl FerexArray {
                 self.aged_vth = aged;
             }
             Backend::Noisy(cfg) => {
-                if self.noisy_samples.is_some() || self.stored.is_empty() {
+                if self.noisy_samples.is_some() || self.is_empty() {
                     return;
                 }
                 let n = self.physical_rows() * self.physical_cols();
@@ -605,8 +618,8 @@ impl FerexArray {
     pub fn is_programmed(&self) -> bool {
         match &self.backend {
             Backend::Ideal => true,
-            Backend::Circuit(_) => self.stored.is_empty() || self.crossbar.is_some(),
-            Backend::Noisy(_) => self.stored.is_empty() || self.noisy_samples.is_some(),
+            Backend::Circuit(_) => self.is_empty() || self.crossbar.is_some(),
+            Backend::Noisy(_) => self.is_empty() || self.noisy_samples.is_some(),
         }
     }
 
@@ -652,7 +665,7 @@ impl FerexArray {
     /// but can never win the LTA.
     pub fn distances(&self, query: &[u32]) -> Result<Vec<f64>, FerexError> {
         self.validate(query)?;
-        if self.stored.is_empty() {
+        if self.is_empty() {
             return Err(FerexError::Empty);
         }
         self.require_programmed()?;
@@ -660,15 +673,18 @@ impl FerexArray {
             return Err(FerexError::Empty);
         }
         match &self.backend {
-            Backend::Ideal => Ok((0..self.stored.len())
-                .map(|r| {
+            Backend::Ideal => Ok(self
+                .codes
+                .iter()
+                .enumerate()
+                .map(|(r, codes)| {
                     if self.physical_row(r).is_none() {
                         return f64::INFINITY;
                     }
-                    self.stored[r] // lint:allow(panic-safety/index, reason = "r < stored.len() by the range bound")
+                    codes
                         .iter()
                         .zip(query)
-                        .map(|(&s, &q)| self.encoding.cell_current(q as usize, s as usize) as f64)
+                        .map(|(&s, &q)| self.encoding.cell_current(q as usize, s.into()) as f64)
                         .sum() // lint:allow(float-order/accumulation, reason = "integer I_unit multiples bounded by dim * k * max_vds << 2^53; d-major order matches the batch path")
                 })
                 .collect()),
@@ -682,7 +698,7 @@ impl FerexArray {
                 if self.row_map.is_empty() {
                     return Ok(currents.into_iter().map(|i| i.value() / i_unit).collect());
                 }
-                Ok((0..self.stored.len())
+                Ok((0..self.len())
                     .map(|r| match self.physical_row(r) {
                         Some(p) => currents.get(p).map_or(f64::INFINITY, |i| i.value() / i_unit),
                         None => f64::INFINITY,
@@ -696,8 +712,8 @@ impl FerexArray {
                 let plan = &cfg.faults;
                 let k = self.encoding.k;
                 let cols = self.physical_cols();
-                let mut out = Vec::with_capacity(self.stored.len());
-                for (r, row) in self.stored.iter().enumerate() {
+                let mut out = Vec::with_capacity(self.len());
+                for (r, row) in self.codes.iter().enumerate() {
                     let Some(phys) = self.physical_row(r) else {
                         out.push(f64::INFINITY);
                         continue;
@@ -705,7 +721,7 @@ impl FerexArray {
                     let mut units = 0.0f64;
                     // lint:allow(panic-safety/index, reason = "stored/query symbols are validated at store and search time; f < k, and index < rows x cols by construction from the same dims the sample table was sized with")
                     for (d, (&s, &q)) in row.iter().zip(query).enumerate() {
-                        let st = &self.encoding.stored[s as usize];
+                        let st = &self.encoding.stored[usize::from(s)];
                         let se = &self.encoding.search[q as usize];
                         for f in 0..k {
                             let m = se.vds_multiples[f];
@@ -737,12 +753,9 @@ impl FerexArray {
     /// Semantically a loop of [`FerexArray::distances`] calls — results are
     /// bit-identical — but served through specialized kernels:
     ///
-    /// * `Ideal` reads the contiguous structure-of-arrays code buffer
-    ///   instead of the row-per-allocation `Vec<Vec<u32>>`: a Hamming-exact
-    ///   encoding runs word-parallel XOR + popcount over packed bit-planes,
-    ///   every other encoding runs per-query current LUTs laid out
-    ///   contiguously, both cache-blocked rows-outer / queries-inner over
-    ///   balanced query chunks.
+    /// * `Ideal` runs per-query current LUTs over the contiguous code
+    ///   buffer, cache-blocked rows-outer / queries-inner over balanced
+    ///   query chunks — one kernel for every encoding and metric.
     /// * `Noisy` precomputes one table of (stored cell × query symbol)
     ///   current contributions per batch — built row-parallel — turning the
     ///   per-query inner loop into pure lookups; batches of one or two
@@ -764,7 +777,7 @@ impl FerexArray {
         for q in queries {
             self.validate(q)?;
         }
-        if self.stored.is_empty() {
+        if self.is_empty() {
             return Err(FerexError::Empty);
         }
         self.require_programmed()?;
@@ -776,109 +789,39 @@ impl FerexArray {
                 queries.iter().map(|q| self.distances(q)).collect()
             }
             Backend::Noisy(_) => self.noisy_distances_batch(queries),
-            // The SoA kernels read u8 codes; any encoding wider than 256
-            // stored levels (none exist today — the encoder caps alphabets
-            // at 64) falls back to the scalar fan-out.
-            Backend::Ideal if self.encoding.n_stored() <= 256 => {
-                Ok(self.ideal_distances_batch_soa(queries))
-            }
+            Backend::Ideal => Ok(self.ideal_distances_batch_soa(queries)),
             // Circuit re-solves the crossbar per query; fan the scalar
             // path out over threads.
-            Backend::Ideal | Backend::Circuit(_) => {
-                let out: Result<Vec<Vec<f64>>, FerexError> =
-                    queries.par_iter().map(|q| self.distances(q)).collect();
-                out
-            }
+            Backend::Circuit(_) => queries.par_iter().map(|q| self.distances(q)).collect(),
         }
     }
 
     /// Names the kernel [`FerexArray::distances_batch`] would dispatch a
     /// batch of `batch` queries to, mirroring its dispatch exactly:
-    /// `"scalar"` (per-query fan-out or the small-batch Noisy crossover),
-    /// `"contrib-table"` (Noisy dense contribution table),
-    /// `"bitplane-popcount"` (Ideal + realized XOR-popcount encoding), or
+    /// `"scalar"` (Circuit per-query fan-out or the small-batch Noisy
+    /// crossover), `"contrib-table"` (Noisy dense contribution table), or
     /// `"lut"` (Ideal per-query current LUTs). Purely informational — used
     /// by benchmarks and reports to label measurements.
     pub fn batch_kernel(&self, batch: usize) -> &'static str {
         match &self.backend {
             Backend::Noisy(_) if batch <= NOISY_LUT_CROSSOVER => "scalar",
             Backend::Noisy(_) => "contrib-table",
-            Backend::Ideal if self.encoding.n_stored() <= 256 => {
-                if soa::is_xor_popcount(&self.encoding) {
-                    "bitplane-popcount"
-                } else {
-                    "lut"
-                }
-            }
-            Backend::Ideal | Backend::Circuit(_) => "scalar",
+            Backend::Ideal => "lut",
+            Backend::Circuit(_) => "scalar",
         }
     }
 
-    /// The `Ideal` batched kernels over the structure-of-arrays code
-    /// buffer. Dispatches to XOR-popcount over packed bit-planes when the
-    /// realized encoding is exactly bitwise Hamming, and to per-query
-    /// current LUTs otherwise. Both kernels accumulate exact integer
-    /// currents in `u64` and convert once per row — bit-identical to the
-    /// scalar `f64` sum because every partial sum is an integer below 2⁵³
-    /// (see `soa` module docs).
+    /// The `Ideal` batched kernel over the code buffer: per-query current
+    /// LUTs. It accumulates exact integer currents in `u64` and converts
+    /// once per row — bit-identical to the scalar `f64` sum because every
+    /// partial sum is an integer below 2⁵³ (see `soa` module docs).
     fn ideal_distances_batch_soa(&self, queries: &[Vec<u32>]) -> Vec<Vec<f64>> {
-        let rows = self.stored.len();
-        debug_assert_eq!(self.codes.rows(), rows, "SoA code buffer out of sync");
+        let rows = self.len();
         let dim = self.dim;
         let phys_of: Vec<Option<usize>> = (0..rows).map(|r| self.physical_row(r)).collect();
         let ranges = soa::balanced_ranges(queries.len(), rayon::current_num_threads());
 
-        if soa::is_xor_popcount(&self.encoding) {
-            // Bit-plane path: pack stored codes once per batch (row-major,
-            // planes contiguous per row), pack each chunk's queries the
-            // same way, and reduce every (row, query) pair to XOR +
-            // popcount over `bits × ceil(dim/64)` words.
-            let bits = self.encoding.n_stored().trailing_zeros();
-            let words = dim.div_ceil(64);
-            let stride = bits as usize * words;
-            let mut row_planes = vec![0u64; rows * stride];
-            row_planes.par_chunks_mut(stride).enumerate().for_each(|(r, planes)| {
-                soa::pack_bit_planes(self.codes.row(r), bits, words, planes);
-            });
-            // lint:allow(panic-safety/index, reason = "hot kernel: chunk ranges come from balanced_ranges(queries.len()), plane strides and row indices are sized in this function; checked indexing would defeat the batch win")
-            let per_chunk: Vec<Vec<Vec<f64>>> = ranges
-                .par_iter()
-                .map(|range| {
-                    let qs = &queries[range.clone()];
-                    let mut q_planes = vec![0u64; qs.len() * stride];
-                    let mut q_codes = vec![0u8; dim];
-                    for (qi, q) in qs.iter().enumerate() {
-                        for (c, &s) in q_codes.iter_mut().zip(q.iter()) {
-                            *c = (s & 0xff) as u8; // lint:allow(cast-truncation/narrowing, reason = "masked to the low 8 bits first; symbols validated < 256 for the SoA path")
-                        }
-                        soa::pack_bit_planes(
-                            &q_codes,
-                            bits,
-                            words,
-                            &mut q_planes[qi * stride..(qi + 1) * stride],
-                        );
-                    }
-                    let mut out = vec![vec![0.0f64; rows]; qs.len()];
-                    for r in 0..rows {
-                        if phys_of[r].is_none() {
-                            for row_out in &mut out {
-                                row_out[r] = f64::INFINITY;
-                            }
-                            continue;
-                        }
-                        let rp = &row_planes[r * stride..(r + 1) * stride];
-                        for (qi, row_out) in out.iter_mut().enumerate() {
-                            let qp = &q_planes[qi * stride..(qi + 1) * stride];
-                            row_out[r] = soa::popcount_distance(rp, qp) as f64;
-                        }
-                    }
-                    out
-                })
-                .collect();
-            return per_chunk.into_iter().flatten().collect();
-        }
-
-        // LUT path: one contiguous current LUT per query in the chunk
+        // One contiguous current LUT per query in the chunk
         // (`dim` rows of `n_stored` entries each), then rows-outer /
         // queries-inner so each row's code slice stays cache-hot across
         // the whole chunk.
@@ -894,14 +837,13 @@ impl FerexArray {
                     luts.extend(soa::query_lut(&self.encoding, q));
                 }
                 let mut out = vec![vec![0.0f64; rows]; qs.len()];
-                for r in 0..rows {
+                for (r, codes) in self.codes.iter().enumerate() {
                     if phys_of[r].is_none() {
                         for row_out in &mut out {
                             row_out[r] = f64::INFINITY;
                         }
                         continue;
                     }
-                    let codes = self.codes.row(r);
                     for (qi, row_out) in out.iter_mut().enumerate() {
                         let lut = &luts[qi * lut_stride..(qi + 1) * lut_stride];
                         row_out[r] = soa::lut_distance(lut, n_stored, codes) as f64;
@@ -948,14 +890,18 @@ impl FerexArray {
         }
     }
 
-    /// The `Noisy` fast path: one contribution table per batch.
+    /// The `Noisy` fast path: one contribution table per row, shared by
+    /// the whole batch.
     ///
-    /// `contrib[((r·dim + d)·n_search + q)·k + f]` holds the current (in
-    /// `I_unit` multiples) cell `(r, d, f)` adds when driven with query
-    /// symbol `q` — zero for OFF cells. Summation order over `(d, f)`
-    /// matches the scalar path exactly, and adding the 0.0 entries the
-    /// scalar path skips is exact for these non-negative terms, so batch
-    /// distances are bit-identical to [`FerexArray::distances`].
+    /// `row_lut[(d·n_search + q)·k + f]` holds the current (in `I_unit`
+    /// multiples) cell `(r, d, f)` adds when driven with query symbol `q`
+    /// — zero for OFF cells. Summation order over `(d, f)` matches the
+    /// scalar path exactly, and adding the 0.0 entries the scalar path
+    /// skips is exact for these non-negative terms, so batch distances are
+    /// bit-identical to [`FerexArray::distances`]. Each row's table is
+    /// built once, read by every query while it is hot in cache, then
+    /// overwritten by the next row's: no table for the whole array (rows ×
+    /// dim × n_search × k × 8 B, ~18 MB at 2,250 rows) is ever allocated.
     fn noisy_distances_batch(&self, queries: &[Vec<u32>]) -> Result<Vec<Vec<f64>>, FerexError> {
         let (Some(samples), Backend::Noisy(cfg)) = (self.noisy_samples.as_ref(), &self.backend)
         else {
@@ -963,63 +909,54 @@ impl FerexArray {
         };
         let plan = &cfg.faults;
         let k = self.encoding.k;
-        let dim = self.dim;
         let cols = self.physical_cols();
         let n_search = self.encoding.search.len();
-        let rows = self.stored.len();
-        let row_stride = dim * n_search * k;
+        let row_stride = self.dim * n_search * k;
 
-        // Each logical row reads through its current physical row (itself,
-        // or the spare it was remapped to); excluded rows keep a zeroed LUT
-        // slice and are forced to INFINITY after accumulation, matching the
-        // scalar path bit for bit.
-        let phys_of: Vec<Option<usize>> = (0..rows).map(|r| self.physical_row(r)).collect();
-        // Build the table row-parallel: each worker owns one row's
-        // contiguous `row_stride` slice, so there is no sharing and the
-        // table contents are independent of the thread count.
-        let mut contrib = vec![0.0f64; rows * row_stride];
-        // lint:allow(panic-safety/index, reason = "hot kernel: each worker owns one row_stride slice of the table it indexes with offsets sized from the same dims; stored/encoding indices are validated at store time")
-        contrib.par_chunks_mut(row_stride).enumerate().for_each(|(r, row_lut)| {
-            let Some(phys) = phys_of[r] else { return };
-            for (d, &s) in self.stored[r].iter().enumerate() {
-                let st = &self.encoding.stored[s as usize];
-                let cell_base = d * n_search * k;
-                for (q, se) in self.encoding.search.iter().enumerate() {
-                    for f in 0..k {
-                        let m = se.vds_multiples[f];
-                        if m == 0 {
-                            continue;
-                        }
-                        let index = phys * cols + d * k + f;
-                        let v_gate = self.tech.search_voltage(se.vgs_levels[f]);
-                        row_lut[cell_base + q * k + f] = self.noisy_cell_units(
-                            plan,
-                            index,
-                            st.vth_levels[f],
-                            &samples[index],
-                            v_gate,
-                            m,
-                        );
-                    }
-                }
-            }
-        });
-
-        // Fan queries out in balanced contiguous chunks — every worker gets
-        // a chunk, sizes differing by at most one (the old `div_ceil`
-        // chunking could idle workers on non-divisible batches). Within a
-        // chunk iterate rows outer / queries inner so one row's table slice
-        // stays cache-hot across the whole chunk.
-        let ranges = soa::balanced_ranges(queries.len(), rayon::current_num_threads());
-        // lint:allow(panic-safety/index, reason = "hot kernel: chunk ranges come from balanced_ranges(queries.len()), table offsets are sized from the same dims the table was built with; query symbols are validated before dispatch")
-        let per_chunk: Vec<Vec<Vec<f64>>> = ranges
+        // Fan rows out in balanced contiguous ranges, one per worker; the
+        // per-range columns are stitched back in row order below, so the
+        // result is independent of the thread count.
+        let ranges = soa::balanced_ranges(self.len(), rayon::current_num_threads());
+        // lint:allow(panic-safety/index, reason = "hot kernel: row_lut is sized row_stride from the same dims it is indexed with; stored/query symbols are validated before dispatch, f < k, and index < rows x cols by construction from the same dims the sample table was sized with")
+        let per_range: Vec<Vec<Vec<f64>>> = ranges
             .par_iter()
             .map(|range| {
-                let qs = &queries[range.clone()];
-                let mut out = vec![vec![0.0f64; rows]; qs.len()];
-                for r in 0..rows {
-                    let row_lut = &contrib[r * row_stride..(r + 1) * row_stride];
-                    for (qi, query) in qs.iter().enumerate() {
+                let mut out = vec![Vec::with_capacity(range.len()); queries.len()];
+                let mut row_lut = vec![0.0f64; row_stride];
+                for r in range.clone() {
+                    // Each logical row reads through its current physical
+                    // row (itself, or the spare it was remapped to);
+                    // excluded rows sense INFINITY, as on the scalar path.
+                    let (Some(phys), Some(codes)) = (self.physical_row(r), self.codes.row(r))
+                    else {
+                        for o in &mut out {
+                            o.push(f64::INFINITY);
+                        }
+                        continue;
+                    };
+                    for (d, &s) in codes.iter().enumerate() {
+                        let st = &self.encoding.stored[usize::from(s)];
+                        for (q, se) in self.encoding.search.iter().enumerate() {
+                            for f in 0..k {
+                                row_lut[(d * n_search + q) * k + f] = match se.vds_multiples[f] {
+                                    0 => 0.0,
+                                    m => {
+                                        let index = phys * cols + d * k + f;
+                                        let v_gate = self.tech.search_voltage(se.vgs_levels[f]);
+                                        self.noisy_cell_units(
+                                            plan,
+                                            index,
+                                            st.vth_levels[f],
+                                            &samples[index],
+                                            v_gate,
+                                            m,
+                                        )
+                                    }
+                                };
+                            }
+                        }
+                    }
+                    for (query, o) in queries.iter().zip(&mut out) {
                         let mut units = 0.0f64;
                         for (d, &q) in query.iter().enumerate() {
                             let base = (d * n_search + q as usize) * k;
@@ -1027,13 +964,19 @@ impl FerexArray {
                                 units += c; // lint:allow(float-order/accumulation, reason = "bounded per-cell units in fixed d-major LUT order shared with the scalar path")
                             }
                         }
-                        out[qi][r] = if phys_of[r].is_some() { units } else { f64::INFINITY };
+                        o.push(units);
                     }
                 }
                 out
             })
             .collect();
-        Ok(per_chunk.into_iter().flatten().collect())
+        let mut out = vec![Vec::with_capacity(self.len()); queries.len()];
+        for part in per_range {
+            for (o, p) in out.iter_mut().zip(part) {
+                o.extend(p);
+            }
+        }
+        Ok(out)
     }
 
     fn sense_nearest(&self, distances: Vec<f64>, qid: u64) -> SearchOutcome {
@@ -1198,7 +1141,7 @@ impl FerexArray {
             },
             spares_in_use,
             spares_burned,
-            rows_active: self.stored.len() - quarantined,
+            rows_active: self.len() - quarantined,
             rows_quarantined_now: quarantined,
             rows_remapped_now: remapped,
             wear_max_cycles: wear.max_cycles,
@@ -1397,8 +1340,8 @@ impl FerexArray {
             }
         }
         let mut result = RemapResult::default();
-        let symbols = self.stored[row].clone(); // lint:allow(panic-safety/index, reason = "row bounds-checked by the quarantine caller")
-                                                // lint:allow(panic-safety/index, reason = "j < spare_state.len() by the loop bound; row_map is sized to stored at program time")
+        let symbols = self.row(row).unwrap_or_default();
+        // lint:allow(panic-safety/index, reason = "j < spare_state.len() by the loop bound; row_map is sized to stored at program time")
         for j in 0..self.spare_state.len() {
             if self.spare_state[j] != SpareState::Free {
                 continue;
@@ -1477,18 +1420,15 @@ impl FerexArray {
         }
         self.program();
         let cols = self.physical_cols();
-        let mut report = ProgramReport {
-            rows: self.stored.len(),
-            cells: self.stored.len() * cols,
-            ..Default::default()
-        };
-        if matches!(self.backend, Backend::Ideal) || self.stored.is_empty() {
+        let mut report =
+            ProgramReport { rows: self.len(), cells: self.len() * cols, ..Default::default() };
+        if matches!(self.backend, Backend::Ideal) || self.is_empty() {
             // No physical state to verify: everything is trivially clean.
             report.cells_clean = report.cells;
             self.program_report = Some(report.clone());
             return Ok(report);
         }
-        for r in 0..self.stored.len() {
+        for r in 0..self.len() {
             // Mutation mode: free and tombstoned slots are excluded from
             // search and may hold reclaimed (stale) physical content —
             // there is nothing to verify, they count as trivially clean.
@@ -1498,7 +1438,7 @@ impl FerexArray {
                     continue;
                 }
             }
-            let symbols = self.stored[r].clone(); // lint:allow(panic-safety/index, reason = "r < stored.len() by the loop bound")
+            let symbols = self.row(r).unwrap_or_default();
             let rv = self.verify_row(r, &symbols, &policy)?;
             report.cells_clean += rv.clean;
             report.cells_repaired += rv.repaired;
@@ -1664,7 +1604,7 @@ impl FerexArray {
     /// [`FerexError::Empty`] when nothing is stored.
     pub fn scrub(&mut self) -> Result<ScrubReport, FerexError> {
         self.require_programmed()?;
-        if self.stored.is_empty() {
+        if self.is_empty() {
             return Err(FerexError::Empty);
         }
         let policy = self.repair.clone().unwrap_or(RepairPolicy {
@@ -1674,14 +1614,14 @@ impl FerexArray {
         });
         policy.validate()?;
         if self.row_map.is_empty() {
-            self.row_map = vec![RowHealth::Healthy; self.stored.len()];
+            self.row_map = vec![RowHealth::Healthy; self.len()];
         }
         let mut findings: Vec<ScrubFinding> = Vec::new();
         let mut checked_logical = 0usize;
-        for r in 0..self.stored.len() {
+        for r in 0..self.len() {
             let Some(phys) = self.physical_row(r) else { continue };
             checked_logical += 1;
-            let symbols = self.stored[r].clone(); // lint:allow(panic-safety/index, reason = "r < stored.len() by the loop bound")
+            let symbols = self.row(r).unwrap_or_default();
             if let Some(f) = self.scrub_row(phys, r, &symbols, &policy)? {
                 findings.push(f);
             }
@@ -1690,7 +1630,7 @@ impl FerexArray {
         for j in 0..self.sentinels() {
             let codeword = self.sentinel_codeword(j);
             let finding =
-                self.scrub_row(self.sentinel_phys(j), self.stored.len() + j, &codeword, &policy)?;
+                self.scrub_row(self.sentinel_phys(j), self.len() + j, &codeword, &policy)?;
             if let Some(f) = finding {
                 sentinel_findings += 1;
                 findings.push(f);
@@ -1707,7 +1647,7 @@ impl FerexArray {
             }
         } else {
             let flagged: Vec<usize> =
-                findings.iter().map(|f| f.row).filter(|&r| r < self.stored.len()).collect();
+                findings.iter().map(|f| f.row).filter(|&r| r < self.len()).collect();
             for r in flagged {
                 let res = self.quarantine_internal(r, &policy)?;
                 match res.spare {
@@ -1741,16 +1681,13 @@ impl FerexArray {
     ///
     /// # Errors
     ///
+    /// [`FerexError::RowOutOfRange`] past the last row;
     /// [`FerexError::NotProgrammed`] on a stale array;
     /// [`FerexError::SparesExhausted`] when no usable spare is left — the
     /// row is then *excluded* from search (graceful degradation), so the
     /// error reports the state change, it does not roll it back.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range.
     pub fn quarantine_row(&mut self, row: usize) -> Result<usize, FerexError> {
-        assert!(row < self.stored.len(), "row {row} out of range");
+        self.check_row(row)?;
         self.require_programmed()?;
         let policy = self.repair.clone().unwrap_or(RepairPolicy {
             spare_rows: 0,
@@ -1758,7 +1695,7 @@ impl FerexArray {
             ..Default::default()
         });
         if self.row_map.is_empty() {
-            self.row_map = vec![RowHealth::Healthy; self.stored.len()];
+            self.row_map = vec![RowHealth::Healthy; self.len()];
         }
         let res = self.quarantine_internal(row, &policy)?;
         match res.spare {
@@ -1795,16 +1732,15 @@ impl FerexArray {
         if self.mutation.is_some() {
             return Err(FerexError::InvalidPolicy { what: "mutation is already enabled" });
         }
-        if self.stored.len() > policy.capacity {
+        if self.len() > policy.capacity {
             return Err(FerexError::InvalidPolicy {
                 what: "mutation capacity below the stored row count",
             });
         }
-        let state = MutationState::new(policy, self.stored.len());
-        while self.stored.len() < policy.capacity {
-            let zeros = vec![0u32; self.dim];
+        let state = MutationState::new(policy, self.len());
+        let zeros = vec![0u32; self.dim];
+        while self.len() < policy.capacity {
             self.codes.push_row(&zeros);
-            self.stored.push(zeros);
         }
         self.mutation = Some(state);
         self.invalidate_physical_state();
@@ -1841,8 +1777,8 @@ impl FerexArray {
     }
 
     /// The stored vector of a live logical id.
-    pub fn vector_of(&self, id: u64) -> Option<&[u32]> {
-        self.slot_of(id).and_then(|s| self.stored.get(s)).map(|v| v.as_slice())
+    pub fn vector_of(&self, id: u64) -> Option<Vec<u32>> {
+        self.slot_of(id).and_then(|s| self.row(s))
     }
 
     /// Live logical ids, ascending.
@@ -1878,27 +1814,8 @@ impl FerexArray {
             .ok_or(FerexError::InvalidPolicy { what: "mutation is not enabled on this array" })
     }
 
-    /// Replaces slot `slot`'s logical contents (stored vector + SoA code
-    /// mirror) without touching slot state.
-    fn set_slot_contents(&mut self, slot: usize, vector: Vec<u32>) {
-        if let Some(s) = self.stored.get_mut(slot) {
-            self.codes.set_row(slot, &vector);
-            *s = vector;
-        }
-    }
-
-    /// Zeroes slot `slot`'s logical contents in place (stored row and SoA
-    /// mirror) — the reclaim/rollback twin of `set_slot_contents`, with
-    /// no scratch allocation.
-    fn zero_slot_contents(&mut self, slot: usize) {
-        if let Some(s) = self.stored.get_mut(slot) {
-            s.fill(0);
-            self.codes.zero_row(slot);
-        }
-    }
-
     /// Delta-programs physical slot `slot` with the contents already
-    /// committed to `stored[slot]`, through the same write-verify path as
+    /// committed to its code row, through the same write-verify path as
     /// [`FerexArray::program_verified`]: program the row, verify every
     /// cell with bounded retry and trim commits, quarantine-and-remap on
     /// unrepairable rows (or fail typed in strict mode). Counts one wear
@@ -1960,7 +1877,7 @@ impl FerexArray {
         }
         if let Some(policy) = self.repair.clone() {
             if self.row_map.is_empty() {
-                self.row_map = vec![RowHealth::Healthy; self.stored.len()];
+                self.row_map = vec![RowHealth::Healthy; self.len()];
                 self.spare_state = vec![SpareState::Free; self.spares()];
             }
             let rv = self.verify_row(phys, vector, &policy)?;
@@ -2005,10 +1922,10 @@ impl FerexArray {
             }
             None => return Err(FerexError::CapacityExhausted { capacity }),
         };
-        self.set_slot_contents(slot, vector.clone());
+        self.codes.set_row(slot, &vector);
         if let Err(e) = self.mutation_write_slot(slot, &vector) {
             // Never made live: zero the logical contents back out.
-            self.zero_slot_contents(slot);
+            self.codes.zero_row(slot);
             return Err(e);
         }
         self.mutation_commit_live(id, slot);
@@ -2035,9 +1952,9 @@ impl FerexArray {
         let target = if m.policy.wear_leveling { m.choose_insert_slot() } else { None };
         match target {
             Some(new) if new != old => {
-                self.set_slot_contents(new, vector.clone());
+                self.codes.set_row(new, &vector);
                 if let Err(e) = self.mutation_write_slot(new, &vector) {
-                    self.zero_slot_contents(new);
+                    self.codes.zero_row(new);
                     return Err(e);
                 }
                 self.mutation_commit_move(id, old, new);
@@ -2045,14 +1962,14 @@ impl FerexArray {
                 Ok(())
             }
             _ => {
-                let previous = self.stored.get(old).cloned().unwrap_or_default();
-                self.set_slot_contents(old, vector.clone());
+                let previous = self.row(old).unwrap_or_default();
+                self.codes.set_row(old, &vector);
                 match self.mutation_write_slot(old, &vector) {
                     Ok(()) => Ok(()),
                     Err(e) => {
                         // Crash consistency: roll the row back to its old
                         // contents, logically and (best-effort) physically.
-                        self.set_slot_contents(old, previous.clone());
+                        self.codes.set_row(old, &previous);
                         let _ = self.mutation_write_slot(old, &previous);
                         Err(e)
                     }
@@ -2107,7 +2024,7 @@ impl FerexArray {
         }
         let report = CompactionReport { reclaimed: reclaimed.len(), rotated: 0 };
         for i in reclaimed {
-            self.zero_slot_contents(i);
+            self.codes.zero_row(i);
         }
         if report.reclaimed > 0 {
             self.program_report = None;
@@ -2145,12 +2062,12 @@ impl FerexArray {
         let Some(SlotState::Live(id)) = m.slots.get(src).copied() else {
             return report;
         };
-        let vector = self.stored.get(src).cloned().unwrap_or_default();
-        self.set_slot_contents(dst, vector.clone());
+        let vector = self.row(src).unwrap_or_default();
+        self.codes.set_row(dst, &vector);
         if self.mutation_write_slot(dst, &vector).is_err() {
             // Abandon the rotation: the destination stays free (its stale
             // physical content is excluded from search), no logical change.
-            self.zero_slot_contents(dst);
+            self.codes.zero_row(dst);
             return report;
         }
         self.mutation_commit_move(id, src, dst);
@@ -2166,8 +2083,8 @@ impl FerexArray {
 
     /// Crate-internal: replaces slot contents without touching slot state
     /// (phase one of a coordinated mutation, or its rollback).
-    pub(crate) fn mutation_set_contents(&mut self, slot: usize, vector: Vec<u32>) {
-        self.set_slot_contents(slot, vector);
+    pub(crate) fn mutation_set_contents(&mut self, slot: usize, vector: &[u32]) {
+        self.codes.set_row(slot, vector);
     }
 
     /// Crate-internal: marks a prepared slot live for `id` (phase two of a
@@ -2224,7 +2141,7 @@ impl MutableNode for FerexArray {
     }
 
     fn vector_of(&self, id: u64) -> Option<Vec<u32>> {
-        FerexArray::vector_of(self, id).map(<[u32]>::to_vec)
+        FerexArray::vector_of(self, id)
     }
 
     fn live_ids(&self) -> Vec<u64> {
@@ -2332,8 +2249,8 @@ fn program_crossbar_row(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distance::DistanceMetric;
     use crate::dm::DistanceMatrix;
+    use crate::encoding::{SearchEncoding, StoredEncoding};
     use crate::sizing::{find_minimal_cell, SizingOptions};
 
     /// One search as a batch of one with query id `qid`.
@@ -2351,6 +2268,11 @@ mod tests {
         a.search_k_batch_at(&[q.to_vec()], k, &[qid]).map(|mut out| out.remove(0))
     }
 
+    /// Every stored row, decoded.
+    fn rows(a: &FerexArray) -> Vec<Vec<u32>> {
+        (0..a.len()).filter_map(|r| a.row(r)).collect()
+    }
+
     fn hamming_array(dim: usize, backend: Backend) -> FerexArray {
         let dm = DistanceMatrix::from_metric(DistanceMetric::Hamming, 2);
         let report = find_minimal_cell(&dm, &SizingOptions::default()).expect("sizes");
@@ -2366,7 +2288,7 @@ mod tests {
         let q = [0, 1, 2, 0];
         let out = search_at(&a, &q, 0).unwrap();
         let m = DistanceMetric::Hamming;
-        for (r, stored) in a.stored().iter().enumerate() {
+        for (r, stored) in rows(&a).iter().enumerate() {
             let expected = m.vector_distance(&q, stored) as f64;
             assert_eq!(out.distances[r], expected, "row {r}");
         }
@@ -2418,7 +2340,7 @@ mod tests {
         let q = [0, 3, 0];
         let out = search_at(&a, &q, 0).unwrap();
         let m = DistanceMetric::Manhattan;
-        for (r, stored) in a.stored().iter().enumerate() {
+        for (r, stored) in rows(&a).iter().enumerate() {
             assert_eq!(out.distances[r], m.vector_distance(&q, stored) as f64);
         }
     }
@@ -2435,6 +2357,49 @@ mod tests {
             Err(FerexError::SymbolOutOfRange { value: 4, .. })
         ));
         assert!(matches!(search_at(&a, &[0, 0, 0], 0), Err(FerexError::Empty)));
+    }
+
+    #[test]
+    fn symbols_past_a_byte_are_rejected_even_by_a_wider_encoding() {
+        // A hand-built 300-level encoding (the sizing pipeline caps at 64):
+        // one FeFET per cell, conducting one unit when stored < query.
+        let n = 300;
+        let encoding = CellEncoding {
+            k: 1,
+            stored: (0..n).map(|s| StoredEncoding { vth_levels: vec![s] }).collect(),
+            search: (0..n)
+                .map(|q| SearchEncoding { vgs_levels: vec![q], vds_multiples: vec![1] })
+                .collect(),
+            vth_levels_used: n,
+            search_levels_used: n,
+            max_vds_multiple: 1,
+        };
+        let mut a = FerexArray::new(Technology::default(), encoding, 2, Backend::Ideal);
+        assert_eq!(
+            a.store(vec![0, 256]),
+            Err(FerexError::SymbolOutOfRange { value: 256, n_values: 256 })
+        );
+        assert!(a.is_empty());
+        a.store(vec![255, 0]).unwrap();
+        assert_eq!(a.row(0), Some(vec![255, 0]));
+        assert_eq!(a.distances_batch(&[vec![255, 1]]).unwrap(), vec![vec![1.0]]);
+    }
+
+    #[test]
+    fn update_past_the_last_row_is_a_typed_error() {
+        let mut a = hamming_array(2, Backend::Ideal);
+        a.store(vec![0, 0]).unwrap();
+        assert_eq!(a.update(1, vec![1, 1]), Err(FerexError::RowOutOfRange { row: 1, rows: 1 }));
+        assert_eq!(rows(&a), vec![vec![0, 0]]);
+    }
+
+    #[test]
+    fn quarantine_past_the_last_row_is_a_typed_error() {
+        let mut a = hamming_array(2, Backend::Noisy(Box::default()));
+        a.store(vec![0, 0]).unwrap();
+        a.program();
+        assert_eq!(a.quarantine_row(3), Err(FerexError::RowOutOfRange { row: 3, rows: 1 }));
+        assert_eq!(a.row_health(0), RowHealth::Healthy);
     }
 
     #[test]
@@ -2518,14 +2483,14 @@ mod tests {
         let removed = a.remove(1);
         assert_eq!(removed, vec![1, 1]);
         assert_eq!(a.len(), 2);
-        assert_eq!(a.stored()[1], vec![2, 2]);
+        assert_eq!(a.row(1), Some(vec![2, 2]));
         a.update(0, vec![3, 3]).unwrap();
         let out = search_at(&a, &[3, 3], 0).unwrap();
         assert_eq!(out.nearest, 0);
         assert_eq!(out.distances[0], 0.0);
         // Invalid update leaves the array unchanged.
         assert!(a.update(0, vec![9, 9]).is_err());
-        assert_eq!(a.stored()[0], vec![3, 3]);
+        assert_eq!(a.row(0), Some(vec![3, 3]));
     }
 
     #[test]
@@ -2864,7 +2829,7 @@ mod tests {
         // and only the ±8 % resistor spread remains on the magnitude.
         let q = [0, 1, 2, 3];
         let out = search_at(&a, &q, 0).unwrap();
-        for (r, stored) in a.stored().iter().enumerate() {
+        for (r, stored) in rows(&a).iter().enumerate() {
             let expected = DistanceMetric::Hamming.vector_distance(&q, stored) as f64;
             assert!(
                 (out.distances[r] - expected).abs() < 0.2 * expected.max(1.0),
@@ -2891,7 +2856,7 @@ mod tests {
             let q = [0, 1, 2, 3];
             let out = search_at(&a, &q, 0).unwrap();
             assert_eq!(out.distances.len(), 6, "results stay keyed by logical row id");
-            for (r, stored) in a.stored().iter().enumerate() {
+            for (r, stored) in rows(&a).iter().enumerate() {
                 let expected = DistanceMetric::Hamming.vector_distance(&q, stored) as f64;
                 match a.row_health(r) {
                     RowHealth::Quarantined => assert!(out.distances[r].is_infinite()),

@@ -466,14 +466,14 @@ impl Ferex {
                 // converges to the same slot table (not necessarily the
                 // engine's own, which reflects its full mutation history —
                 // the set is internally consistent, which is what the
-                // quorum and the digital mirror need).
+                // quorum and the digital oracle need).
                 a.enable_mutation(mp)?;
                 for id in self.array.live_ids() {
-                    let v = self.array.vector_of(id).ok_or(FerexError::UnknownId { id })?.to_vec();
+                    let v = self.array.vector_of(id).ok_or(FerexError::UnknownId { id })?;
                     a.insert(id, v)?;
                 }
             } else {
-                a.store_all(self.array.stored().iter().cloned())?;
+                a.store_all((0..self.array.len()).filter_map(|r| self.array.row(r)))?;
             }
             if self.array.repair_policy().is_some() {
                 a.program_verified()?;
@@ -482,8 +482,7 @@ impl Ferex {
             }
             replicas.push(a);
         }
-        let stored = replicas.first().map(|r| r.stored().to_vec()).unwrap_or_default();
-        Ok(ReplicaSet::new(replicas, stored, self.metric, policy))
+        Ok(ReplicaSet::new(replicas, self.metric, policy))
     }
 
     /// Reconfigures the engine to a different distance metric, keeping all

@@ -152,6 +152,13 @@ pub enum FerexError {
         /// Replicas in the set.
         replicas: usize,
     },
+    /// A positional operation named a row past the stored rows.
+    RowOutOfRange {
+        /// The offending row index.
+        row: usize,
+        /// Rows currently stored.
+        rows: usize,
+    },
     /// A mutation named a logical id the array does not hold.
     UnknownId {
         /// The offending logical id.
@@ -205,6 +212,9 @@ impl fmt::Display for FerexError {
             }
             FerexError::ReplicaOutOfRange { replica, replicas } => {
                 write!(f, "replica {replica} outside the {replicas}-replica set")
+            }
+            FerexError::RowOutOfRange { row, rows } => {
+                write!(f, "row {row} outside the {rows} stored rows")
             }
             FerexError::UnknownId { id } => {
                 write!(f, "no stored vector carries logical id {id}")
@@ -262,6 +272,8 @@ mod tests {
         );
         let e = FerexError::ReplicaOutOfRange { replica: 5, replicas: 3 };
         assert_eq!(e.to_string(), "replica 5 outside the 3-replica set");
+        let e = FerexError::RowOutOfRange { row: 7, rows: 4 };
+        assert_eq!(e.to_string(), "row 7 outside the 4 stored rows");
         let e = FerexError::UnknownId { id: 17 };
         assert_eq!(e.to_string(), "no stored vector carries logical id 17");
         let e = FerexError::DuplicateId { id: 17 };

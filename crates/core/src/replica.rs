@@ -13,8 +13,11 @@
 //!    per query and requires `agree` of them to report the same nearest
 //!    row. Dissenting replicas are escalated into targeted scrubs; when
 //!    quorum cannot be met, the query falls back to an exact digital
-//!    recompute of the stored vectors (the same (distance, index) tie
-//!    policy as the conformance oracle).
+//!    recompute over replica 0's logical rows (the same (distance, index)
+//!    tie policy as the conformance oracle). The set keeps no copy of its
+//!    own: faults live only in a replica's physical state, never in its
+//!    logical codes, so replica 0 holds the truth even when it is dead or
+//!    faulted.
 //! 3. **Circuit breaker + retry budget** — per-replica closed/open/
 //!    half-open breaker with bounded exponential backoff measured on a
 //!    *virtual tick clock* (one tick per served query — no wall clock, so
@@ -248,13 +251,11 @@ pub trait ReplicaNode {
     fn scrub_now(&mut self) -> Result<usize, FerexError>;
     /// Point-in-time health view.
     fn health(&self) -> HealthSnapshot;
-    /// `true` when row `r` serves a live vector. Always `true` for
-    /// immutable nodes; mutation-enabled nodes report their slot table, so
-    /// the supervisor's digital fallback skips free and tombstoned slots
-    /// exactly like the device kernels do.
-    fn row_live(&self, _r: usize) -> bool {
-        true
-    }
+    /// Exact digital distance of `query` to every stored row under
+    /// `metric`, computed from the logical rows alone; free and tombstoned
+    /// slots read as `+∞`, exactly as the device kernels exclude them.
+    /// The supervisor's oracle fallback.
+    fn exact_distances(&self, query: &[u32], metric: DistanceMetric) -> Vec<f64>;
 }
 
 impl ReplicaNode for FerexArray {
@@ -282,8 +283,8 @@ impl ReplicaNode for FerexArray {
         FerexArray::health(self)
     }
 
-    fn row_live(&self, r: usize) -> bool {
-        self.slot_live(r)
+    fn exact_distances(&self, query: &[u32], metric: DistanceMetric) -> Vec<f64> {
+        FerexArray::exact_distances(self, query, metric)
     }
 }
 
@@ -326,9 +327,8 @@ impl ReplicaNode for TiledArray {
         TiledArray::health(self)
     }
 
-    fn row_live(&self, r: usize) -> bool {
-        // Lockstep tiles share one slot table; tile 0 speaks for all.
-        self.tiles().first().is_none_or(|t| t.slot_live(r))
+    fn exact_distances(&self, query: &[u32], metric: DistanceMetric) -> Vec<f64> {
+        TiledArray::exact_distances(self, query, metric)
     }
 }
 
@@ -430,9 +430,7 @@ pub struct ReplicaSet<A: ReplicaNode> {
     /// default, in which case the serving loop charges its uniform
     /// [`CostModel`](crate::serve::CostModel) exactly as before.
     latency: Vec<Option<LatencyModel>>,
-    /// The logical truth the replicas were built from — the digital
-    /// fallback recomputes against this copy.
-    stored: Vec<Vec<u32>>,
+    /// Metric of the digital fallback's recompute.
     metric: DistanceMetric,
     policy: ReplicaPolicy,
     /// Virtual clock: total queries this set has served (or attempted).
@@ -441,39 +439,23 @@ pub struct ReplicaSet<A: ReplicaNode> {
 }
 
 impl<A: ReplicaNode> ReplicaSet<A> {
-    /// Builds a supervisor over pre-constructed replicas. Every replica
-    /// must already store exactly the vectors in `stored` (row-aligned) —
-    /// the supervisor cross-checks replica answers against this copy.
+    /// Builds a supervisor over pre-constructed replicas that store the
+    /// same vectors, row-aligned. Replica 0's logical rows are the truth
+    /// the digital fallback recomputes against under `metric`.
     ///
     /// # Panics
     ///
-    /// Panics when `replicas` is empty, a replica's row count disagrees
-    /// with `stored`, or the policy is invalid for the replica count (see
-    /// [`ReplicaPolicy::assert_valid`]).
-    pub fn new(
-        replicas: Vec<A>,
-        stored: Vec<Vec<u32>>,
-        metric: DistanceMetric,
-        policy: ReplicaPolicy,
-    ) -> Self {
+    /// Panics when `replicas` is empty or the policy is invalid for the
+    /// replica count (see [`ReplicaPolicy::assert_valid`]).
+    pub fn new(replicas: Vec<A>, metric: DistanceMetric, policy: ReplicaPolicy) -> Self {
         assert!(!replicas.is_empty(), "a replica set needs at least one replica");
         policy.assert_valid(replicas.len());
-        for (i, r) in replicas.iter().enumerate() {
-            assert_eq!(
-                r.rows(),
-                stored.len(),
-                "replica {i} stores {} rows, the supervisor tracks {}",
-                r.rows(),
-                stored.len()
-            );
-        }
         let states = vec![ReplicaState::default(); replicas.len()];
         let latency = vec![None; replicas.len()];
         ReplicaSet {
             replicas,
             states,
             latency,
-            stored,
             metric,
             policy,
             tick: 0,
@@ -486,10 +468,10 @@ impl<A: ReplicaNode> ReplicaSet<A> {
         self.replicas.len()
     }
 
-    /// Rows of the supervised store (the logical truth all replicas
-    /// share).
+    /// Rows of the supervised store (replica 0's row count; all replicas
+    /// share it).
     pub fn rows(&self) -> usize {
-        self.stored.len()
+        self.replicas.first().map_or(0, ReplicaNode::rows)
     }
 
     /// Replicas not killed.
@@ -692,7 +674,7 @@ impl<A: ReplicaNode> ReplicaSet<A> {
             return f64::MIN;
         };
         let h = replica.health();
-        let rows = self.stored.len().max(1) as f64;
+        let rows = self.rows().max(1) as f64;
         let active = h.rows_active as f64 / rows;
         let remapped = h.rows_remapped_now as f64 / rows;
         let headroom = if h.spare_rows > 0 {
@@ -781,29 +763,16 @@ impl<A: ReplicaNode> ReplicaSet<A> {
         )
     }
 
-    /// Exact digital recompute over the supervisor's copy of the stored
-    /// vectors — the bottom rung of the quorum fallback ladder. Ties break
-    /// to the lowest index, matching the conformance oracle.
+    /// Exact digital recompute over replica 0's logical rows — the bottom
+    /// rung of the quorum fallback ladder. Ties break to the lowest index,
+    /// matching the conformance oracle.
     ///
     /// # Errors
     ///
-    /// [`FerexError::Empty`] when the supervisor tracks no stored vectors.
+    /// [`FerexError::Empty`] when nothing is stored.
     fn digital_fallback(&self, query: &[u32]) -> Result<SearchOutcome, FerexError> {
-        // Non-live slots (free or tombstoned under online mutation) read as
-        // +inf, exactly like the device kernels' exclusion of those rows.
-        let live = |r: usize| self.replicas.first().is_none_or(|replica| replica.row_live(r));
-        let distances: Vec<f64> =
-            self.stored
-                .iter()
-                .enumerate()
-                .map(|(r, s)| {
-                    if live(r) {
-                        self.metric.vector_distance(query, s) as f64
-                    } else {
-                        f64::INFINITY
-                    }
-                })
-                .collect();
+        let first = self.replicas.first().ok_or(FerexError::Empty)?;
+        let distances = first.exact_distances(query, self.metric);
         let nearest = distances
             .iter()
             .enumerate()
@@ -964,7 +933,7 @@ impl<A: ReplicaNode> ReplicaSet<A> {
         for q in queries {
             self.check_query(q)?;
         }
-        if self.stored.is_empty() {
+        if self.rows() == 0 {
             return Err(FerexError::Empty);
         }
         self.stats.queries_submitted += queries.len() as u64;
@@ -1009,8 +978,8 @@ impl<A: ReplicaNode> ReplicaSet<A> {
 }
 
 impl<A: ReplicaNode + MutableNode> ReplicaSet<A> {
-    /// Applies one mutation to every replica and resyncs the digital
-    /// mirror from replica 0. Replicas fed the same operation sequence
+    /// Applies one mutation to every replica. Replicas fed the same
+    /// operation sequence
     /// make identical slot decisions (the mutation state machine is a
     /// pure function of the op history), so the set stays in lockstep —
     /// provided mutation failures are deterministic too. Strict
@@ -1039,41 +1008,13 @@ impl<A: ReplicaNode + MutableNode> ReplicaSet<A> {
                 }
             }
         }
-        // Replica 0 is the mirror's source of truth either way: on the
-        // deterministic-failure path no replica changed, and on success
-        // all of them did.
-        self.resync_mirror();
         match first_err {
             Some(e) => Err(e),
             None => first_ok.ok_or(FerexError::Empty),
         }
     }
 
-    /// Rebuilds the digital mirror from replica 0's live slot table: live
-    /// slots carry their id's vector, free and tombstoned slots read as
-    /// zeros (the fallback never scores them — see
-    /// [`ReplicaNode::row_live`]). A replica without a slot table has no
-    /// live ids to rebuild from and its rows cannot change, so the mirror
-    /// stays as built.
-    fn resync_mirror(&mut self) {
-        let Some(first) = self.replicas.first() else { return };
-        if !first.mutation_enabled() {
-            return;
-        }
-        let dim = self.stored.first().map(Vec::len).unwrap_or(0);
-        let mut mirror = vec![vec![0u32; dim]; self.stored.len()];
-        for id in first.live_ids() {
-            if let (Some(slot), Some(v)) = (first.slot_of(id), first.vector_of(id)) {
-                if let Some(row) = mirror.get_mut(slot) {
-                    *row = v;
-                }
-            }
-        }
-        self.stored = mirror;
-    }
-
-    /// Inserts `(id, vector)` into every replica (lockstep slot choice)
-    /// and resyncs the digital mirror.
+    /// Inserts `(id, vector)` into every replica (lockstep slot choice).
     ///
     /// # Errors
     ///
@@ -1082,7 +1023,7 @@ impl<A: ReplicaNode + MutableNode> ReplicaSet<A> {
         self.apply_mutation(|r| r.insert(id, vector.clone()))
     }
 
-    /// Replaces `id`'s vector on every replica and resyncs the mirror.
+    /// Replaces `id`'s vector on every replica.
     ///
     /// # Errors
     ///
@@ -1091,7 +1032,7 @@ impl<A: ReplicaNode + MutableNode> ReplicaSet<A> {
         self.apply_mutation(|r| r.update(id, vector.clone()))
     }
 
-    /// Tombstones `id` on every replica and resyncs the mirror.
+    /// Tombstones `id` on every replica.
     ///
     /// # Errors
     ///
@@ -1100,8 +1041,8 @@ impl<A: ReplicaNode + MutableNode> ReplicaSet<A> {
         self.apply_mutation(|r| r.delete(id))
     }
 
-    /// Compacts every replica (infallible, purely logical) and resyncs
-    /// the mirror; returns replica 0's report.
+    /// Compacts every replica (infallible, purely logical); returns
+    /// replica 0's report.
     pub fn compact(&mut self) -> CompactionReport {
         self.apply_mutation(|r| Ok(r.compact())).unwrap_or_default()
     }
@@ -1164,7 +1105,7 @@ impl ReplicaSet<TiledArray> {
             t.program();
             replicas.push(t);
         }
-        Ok(ReplicaSet::new(replicas, vectors, metric, policy))
+        Ok(ReplicaSet::new(replicas, metric, policy))
     }
 }
 
@@ -1276,7 +1217,7 @@ mod tests {
         }
         let policy =
             ReplicaPolicy { quorum: QuorumPolicy { reads: 3, agree: 2 }, ..Default::default() };
-        let mut set = ReplicaSet::new(replicas, vs.clone(), DistanceMetric::Hamming, policy);
+        let mut set = ReplicaSet::new(replicas, DistanceMetric::Hamming, policy);
         for (qid, q) in vs.iter().enumerate() {
             // At the fault-isolation corner the two clean replicas are
             // exact, so the quorum answer is always the true nearest.
@@ -1396,7 +1337,7 @@ mod tests {
     }
 
     #[test]
-    fn mutation_calls_on_an_immutable_set_keep_the_fallback_mirror() {
+    fn mutation_calls_on_an_immutable_set_leave_the_fallback_exact() {
         let vs = vectors(4, 6);
         let mut engine = Ferex::builder().dim(6).build().expect("builds");
         engine.store_all(vs.clone()).unwrap();
@@ -1406,11 +1347,15 @@ mod tests {
         assert!(set.insert(99, vec![0; 6]).is_err(), "no slot table to insert into");
         set.kill(0);
         set.kill(1);
-        // Row 2's own vector: its exact nearest is row 2, not row 0.
-        let served = serve_one(&mut set, &vs[2], 0).unwrap();
-        assert_eq!(served.source, ServeSource::OracleFallback);
-        assert_eq!(served.outcome.nearest, 2);
-        assert_eq!(served.outcome.distances[2], 0.0);
+        // Every row's own vector: the oracle answers it exactly, row for row.
+        for (r, q) in vs.iter().enumerate() {
+            let served = serve_one(&mut set, q, r as u64).unwrap();
+            assert_eq!(served.source, ServeSource::OracleFallback);
+            assert_eq!(served.outcome.nearest, r);
+            let want: Vec<f64> =
+                vs.iter().map(|v| DistanceMetric::Hamming.vector_distance(q, v) as f64).collect();
+            assert_eq!(served.outcome.distances, want);
+        }
     }
 
     #[test]
@@ -1445,7 +1390,7 @@ mod tests {
             ReplicaPolicy { quorum: QuorumPolicy { reads: 2, agree: 2 }, ..Default::default() };
         let mut set = engine.replica_set(2, policy).expect("replicates");
         // Mutate through the supervisor: every replica applies the same
-        // ops, and the digital mirror follows replica 0.
+        // ops, and the digital oracle reads replica 0's rows.
         set.delete(1).unwrap();
         set.insert(9, vec![3; 6]).unwrap();
         set.update(2, vec![1; 6]).unwrap();

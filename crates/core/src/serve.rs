@@ -1256,6 +1256,109 @@ mod tests {
     }
 
     #[test]
+    fn oracle_answers_stay_exact_through_churn_with_replica_0_faulted_and_dead() {
+        use crate::replica::{derive_replica_seed, QuorumPolicy, ServeSource};
+        use crate::{Backend, CircuitConfig, DistanceMetric, FerexArray, MutationPolicy};
+        use ferex_fefet::math::splitmix64;
+        use ferex_fefet::{FaultPlan, Technology, VariationModel};
+        use std::collections::BTreeMap;
+
+        let dim = 6;
+        let encoding = Ferex::builder().dim(dim).build().expect("builds").encoding().clone();
+        let vector = |seed: u64| -> Vec<u32> {
+            (0..dim as u64)
+                .map(|d| (splitmix64(seed.wrapping_mul(31).wrapping_add(d)) % 4) as u32)
+                .collect()
+        };
+        // Replica 0 carries a heavy stuck-at plan and is killed before any
+        // query; replicas 1 and 2 are clean. The oracle must still read the
+        // true rows: faults live in physical state, never in logical codes.
+        let replicas: Vec<FerexArray> = (0..3u64)
+            .map(|i| {
+                let faults = if i == 0 {
+                    FaultPlan { sa0_rate: 0.1, ..Default::default() }
+                } else {
+                    FaultPlan::none()
+                };
+                let cfg = CircuitConfig {
+                    variation: VariationModel::none(),
+                    lta: ferex_analog::LtaParams::ideal(),
+                    faults,
+                    seed: derive_replica_seed(11, i),
+                    ..Default::default()
+                };
+                let backend = Backend::Noisy(Box::new(cfg));
+                let mut a = FerexArray::new(Technology::default(), encoding.clone(), dim, backend);
+                a.enable_mutation(MutationPolicy::with_capacity(16)).unwrap();
+                a.program();
+                a
+            })
+            .collect();
+        // Three reads that must all agree can never meet quorum with one
+        // replica dead: every answer comes from the oracle.
+        let rp =
+            ReplicaPolicy { quorum: QuorumPolicy { reads: 3, agree: 3 }, ..Default::default() };
+        let mut set = ReplicaSet::new(replicas, DistanceMetric::Hamming, rp);
+        set.kill(0);
+        let policy = ServePolicy { target_batch: 1, cost: cheap(), ..Default::default() };
+        let mut lp = ServeLoop::new(set, 1, policy).expect("valid policy");
+
+        let mut live: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+        let mut next_id = 0u64;
+        let mut fallbacks = 0;
+        for step in 0..48u64 {
+            match step % 4 {
+                0 | 1 if live.len() < 10 => {
+                    let v = vector(next_id + 100);
+                    lp.insert(next_id, v.clone()).unwrap();
+                    live.insert(next_id, v);
+                    next_id += 1;
+                }
+                2 => {
+                    let id = *live.keys().nth(step as usize % live.len()).expect("non-empty");
+                    let v = vector(step + 500);
+                    lp.update(id, v.clone()).unwrap();
+                    live.insert(id, v);
+                }
+                3 if live.len() > 2 => {
+                    let id = *live.keys().nth(step as usize % live.len()).expect("non-empty");
+                    lp.delete(id).unwrap();
+                    live.remove(&id);
+                }
+                _ => {
+                    lp.maintenance();
+                }
+            }
+            let query = vector(step + 1000);
+            let arrival = lp.now();
+            lp.submit(Request {
+                tenant: 0,
+                priority: 0,
+                arrival_tick: arrival,
+                deadline_ticks: 1000,
+                query: query.clone(),
+            })
+            .unwrap();
+            let (done, shed) = lp.drain(1000).unwrap();
+            assert!(shed.is_empty());
+            let want = live
+                .values()
+                .map(|v| DistanceMetric::Hamming.vector_distance(&query, v))
+                .min()
+                .expect("non-empty");
+            for c in done {
+                assert_eq!(c.outcome.source, ServeSource::OracleFallback);
+                let got = &c.outcome.outcome;
+                assert_eq!(got.distances[got.nearest], want as f64, "step {step}");
+                let id = lp.set().replica(0).id_at(got.nearest).expect("nearest slot is live");
+                assert_eq!(DistanceMetric::Hamming.vector_distance(&query, &live[&id]), want);
+                fallbacks += 1;
+            }
+        }
+        assert_eq!(fallbacks, 48);
+    }
+
+    #[test]
     fn drain_flushes_the_queue() {
         let policy = ServePolicy { target_batch: 4, cost: cheap(), ..Default::default() };
         let mut lp = loop_with(1, policy);

@@ -1,31 +1,21 @@
-//! Structure-of-arrays layout for the hot distance kernels.
+//! Structure-of-arrays store of an array's logical rows.
 //!
-//! The array API stores logical vectors as `Vec<Vec<u32>>` — convenient
-//! for callers, hostile to the inner loops: every row is a separate heap
-//! allocation and every symbol burns 4 bytes for a value that is at most
-//! 63 (the encoder caps stored alphabets at 64 levels). This module owns
-//! the kernel-facing mirror of that data:
-//!
-//! * [`SoaCodes`] — all stored symbols quantized to `u8` in one contiguous
-//!   `rows × dim` buffer, maintained eagerly by the array's mutators so
-//!   the read path never rebuilds it.
-//! * [`balanced_ranges`] — query-batch partitioning that hands every
-//!   worker a chunk (sizes differ by at most one), instead of the
-//!   `div_ceil`-sized chunks that left workers idle on non-divisible
-//!   batches.
-//! * Bit-plane packing ([`pack_bit_planes`]) and the XOR-popcount
-//!   detector ([`is_xor_popcount`]) behind the Hamming fast path: when
-//!   the programmed encoding's cell currents are exactly
-//!   `popcount(q XOR s)`, a row distance collapses to word-parallel
-//!   `XOR` + `count_ones` over packed planes.
-//! * The per-query current LUT ([`query_lut`]) for every other encoding:
-//!   `lut[d · n_stored + s]` is the exact integer current of stored
-//!   symbol `s` against query symbol `d`'s drive, laid out so one query's
-//!   rows are contiguous.
+//! * [`SoaCodes`] — every stored symbol as one `u8` in a single contiguous
+//!   `rows × dim` buffer. It is the array's only copy of its rows: the
+//!   mutators write it, the kernels read it, and every other reader
+//!   (programming, verify, scrub, the digital oracle) decodes from it.
+//! * [`balanced_ranges`] — work partitioning (query chunks for the Ideal
+//!   kernel, row ranges for the Noisy one) that hands every worker a
+//!   chunk (sizes differ by at most one), instead of the `div_ceil`-sized
+//!   chunks that left workers idle on non-divisible batches.
+//! * The per-query current LUT ([`query_lut`]) behind the Ideal batch
+//!   kernel: `lut[d · n_stored + s]` is the exact integer current of
+//!   stored symbol `s` against query symbol `d`'s drive, laid out so one
+//!   query's rows are contiguous.
 //!
 //! # Bit-identity
 //!
-//! Both kernels accumulate in `u64` and convert once at the end, while
+//! The LUT kernel accumulates in `u64` and converts once at the end, while
 //! the scalar reference path ([`crate::array::FerexArray::distances`])
 //! sums the same integers in `f64`. These agree bit for bit because every
 //! partial sum is a non-negative integer far below 2⁵³ (the worst case,
@@ -36,16 +26,13 @@
 use crate::encoding::CellEncoding;
 use std::ops::Range;
 
+/// Number of symbol levels a `u8` code can hold: the array's `validate`
+/// rejects any symbol at or above this, so storing a symbol as a code is
+/// the identity.
+pub(crate) const CODE_LEVELS: usize = 256;
+
 /// Contiguous `rows × dim` buffer of stored symbol codes, one byte per
-/// symbol.
-///
-/// Codes are written as `symbol & 0xff`. This is lossless whenever the
-/// *current* encoding has at most 256 stored levels: every mutator
-/// validates symbols against `n_stored` before they reach this buffer,
-/// and a reconfiguration to a ≤ 256-level encoding re-validates every
-/// stored symbol — so in the only regime where the kernels read this
-/// buffer (`n_stored ≤ 256`, checked at dispatch), the truncation is the
-/// identity.
+/// symbol — the only store of an array's logical rows.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SoaCodes {
     codes: Vec<u8>,
@@ -61,22 +48,22 @@ impl SoaCodes {
     /// Appends one row.
     pub(crate) fn push_row(&mut self, row: &[u32]) {
         debug_assert_eq!(row.len(), self.dim);
-        self.codes.extend(row.iter().map(|&s| (s & 0xff) as u8)); // lint:allow(cast-truncation/narrowing, reason = "masked to the low 8 bits; SoA symbols are validated < 256")
+        self.codes.extend(row.iter().map(|&s| (s & 0xff) as u8)); // lint:allow(cast-truncation/narrowing, reason = "validate rejects symbols >= CODE_LEVELS, so the mask is the identity")
     }
 
-    /// Overwrites row `r` in place.
+    /// Overwrites row `r` in place; out-of-range rows are ignored.
     pub(crate) fn set_row(&mut self, r: usize, row: &[u32]) {
         debug_assert_eq!(row.len(), self.dim);
         let base = r * self.dim;
-        // lint:allow(panic-safety/index, reason = "callers pass a row index below rows(); the buffer is rows x dim by construction")
-        for (dst, &s) in self.codes[base..base + self.dim].iter_mut().zip(row) {
-            *dst = (s & 0xff) as u8; // lint:allow(cast-truncation/narrowing, reason = "masked to the low 8 bits; SoA symbols are validated < 256")
+        let Some(dst) = self.codes.get_mut(base..base + self.dim) else { return };
+        for (dst, &s) in dst.iter_mut().zip(row) {
+            *dst = (s & 0xff) as u8; // lint:allow(cast-truncation/narrowing, reason = "validate rejects symbols >= CODE_LEVELS, so the mask is the identity")
         }
     }
 
     /// Zeroes row `r` in place — the reclaim path of tombstone
     /// compaction and the rollback path of a failed delta write, with no
-    /// scratch allocation.
+    /// scratch allocation. Out-of-range rows are ignored.
     pub(crate) fn zero_row(&mut self, r: usize) {
         let base = r * self.dim;
         if let Some(row) = self.codes.get_mut(base..base + self.dim) {
@@ -102,10 +89,14 @@ impl SoaCodes {
         &self.codes
     }
 
-    /// Row `r`'s codes.
-    pub(crate) fn row(&self, r: usize) -> &[u8] {
-        // lint:allow(panic-safety/index, reason = "callers pass a row index below rows(); the buffer is rows x dim by construction")
-        &self.codes[r * self.dim..(r + 1) * self.dim]
+    /// Row `r`'s codes, or `None` past the last row.
+    pub(crate) fn row(&self, r: usize) -> Option<&[u8]> {
+        self.codes.get(r * self.dim..(r + 1) * self.dim)
+    }
+
+    /// Every row's codes, in row order.
+    pub(crate) fn iter(&self) -> std::slice::ChunksExact<'_, u8> {
+        self.codes.chunks_exact(self.dim)
     }
 
     /// Number of complete rows held.
@@ -137,59 +128,6 @@ pub(crate) fn balanced_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// `true` when the encoding's programmed cell currents are *exactly* the
-/// bitwise Hamming distance — `cell_current(q, s) == popcount(q XOR s)`
-/// for every (query, stored) pair over a square, power-of-two alphabet.
-///
-/// Detected from the realized current table rather than the requested
-/// metric, so the popcount fast path can never be enabled for an
-/// encoding (custom DM, future metric) whose currents merely resemble
-/// Hamming.
-pub(crate) fn is_xor_popcount(encoding: &CellEncoding) -> bool {
-    let n = encoding.n_stored();
-    if n != encoding.n_search() || !n.is_power_of_two() || n > 256 {
-        return false;
-    }
-    for q in 0..n {
-        for s in 0..n {
-            // lint:allow(cast-truncation/narrowing, reason = "q and s are below the symbol count n <= 64")
-            if encoding.cell_current(q, s) != ((q ^ s) as u32).count_ones() {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// Packs one row of symbol codes into `bits` bit-planes of `words`
-/// 64-symbol words each: bit `d % 64` of plane `b`'s word `d / 64` is
-/// bit `b` of symbol `d`. Tail bits beyond `dim` stay zero, so they
-/// cancel in any XOR between two packed rows.
-///
-/// `out` must hold exactly `bits × words` words and start zeroed.
-pub(crate) fn pack_bit_planes(codes: &[u8], bits: u32, words: usize, out: &mut [u64]) {
-    debug_assert_eq!(out.len(), bits as usize * words);
-    // lint:allow(panic-safety/index, reason = "hot kernel: out is bits x words and d / 64 < words because words = ceil(dim / 64) and d < dim")
-    for (d, &c) in codes.iter().enumerate() {
-        let word = d / 64;
-        let bit = (d % 64) as u64;
-        for b in 0..bits {
-            if (c >> b) & 1 == 1 {
-                out[b as usize * words + word] |= 1u64 << bit;
-            }
-        }
-    }
-}
-
-/// Hamming distance between two packed bit-plane rows: XOR each pair of
-/// words and popcount. Exactly `Σ_d popcount(q_d XOR s_d)` because each
-/// symbol's bits land in disjoint (plane, bit) slots.
-#[inline]
-pub(crate) fn popcount_distance(a: &[u64], b: &[u64]) -> u64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(&x, &y)| u64::from((x ^ y).count_ones())).sum()
-}
-
 /// Builds one query's current LUT: `lut[d · n_stored + s]` is the exact
 /// integer current stored symbol `s` contributes under query symbol
 /// `query[d]`'s column drive. One query's `dim` LUT rows are contiguous,
@@ -217,15 +155,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn soa_codes_mirror_row_mutations() {
+    fn soa_codes_apply_row_mutations() {
         let mut soa = SoaCodes::new(3);
         soa.push_row(&[0, 1, 2]);
         soa.push_row(&[3, 4, 5]);
         soa.push_row(&[6, 7, 8]);
         assert_eq!(soa.rows(), 3);
-        assert_eq!(soa.row(1), &[3, 4, 5]);
+        assert_eq!(soa.row(1), Some(&[3, 4, 5][..]));
+        assert_eq!(soa.row(3), None);
         soa.set_row(1, &[9, 9, 9]);
-        assert_eq!(soa.row(1), &[9, 9, 9]);
+        assert_eq!(soa.row(1), Some(&[9, 9, 9][..]));
+        soa.set_row(3, &[1, 1, 1]);
         soa.remove_row(0);
         assert_eq!(soa.rows(), 2);
         assert_eq!(soa.as_slice(), &[9, 9, 9, 6, 7, 8]);
@@ -276,22 +216,5 @@ mod tests {
         assert_eq!(ranges.len(), 8);
         let sizes: Vec<usize> = ranges.iter().map(Range::len).collect();
         assert_eq!(sizes, vec![2, 1, 1, 1, 1, 1, 1, 1]);
-    }
-
-    #[test]
-    fn bit_planes_reproduce_hamming_distance() {
-        let dim = 70usize; // spills into a second word
-        let bits = 3u32;
-        let words = dim.div_ceil(64);
-        let a: Vec<u8> = (0..dim).map(|d| (d % 8) as u8).collect();
-        let b: Vec<u8> = (0..dim).map(|d| ((d * 3 + 1) % 8) as u8).collect();
-        let mut pa = vec![0u64; bits as usize * words];
-        let mut pb = vec![0u64; bits as usize * words];
-        pack_bit_planes(&a, bits, words, &mut pa);
-        pack_bit_planes(&b, bits, words, &mut pb);
-        let expect: u64 = a.iter().zip(&b).map(|(&x, &y)| u64::from((x ^ y).count_ones())).sum();
-        assert_eq!(popcount_distance(&pa, &pb), expect);
-        // Distance to itself is zero.
-        assert_eq!(popcount_distance(&pa, &pa), 0);
     }
 }

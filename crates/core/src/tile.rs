@@ -166,12 +166,12 @@ impl TiledArray {
 
     /// Number of stored vectors.
     pub fn len(&self) -> usize {
-        self.tiles[0].len()
+        self.tiles.first().map_or(0, FerexArray::len)
     }
 
     /// `true` if nothing is stored.
     pub fn is_empty(&self) -> bool {
-        self.tiles[0].is_empty()
+        self.len() == 0
     }
 
     /// Read-only access to the tiles (for cost accounting).
@@ -179,16 +179,17 @@ impl TiledArray {
         &self.tiles
     }
 
+    /// Splits a `dim`-symbol vector into one `tile_dim` chunk per tile,
+    /// zero-padding the last.
     fn split(&self, vector: &[u32]) -> Vec<Vec<u32>> {
-        let mut out = Vec::with_capacity(self.tiles.len());
-        for t in 0..self.tiles.len() {
-            let start = t * self.tile_dim;
-            let end = ((t + 1) * self.tile_dim).min(vector.len());
-            let mut chunk = vector[start..end].to_vec();
-            chunk.resize(self.tile_dim, 0); // zero-pad the last tile
-            out.push(chunk);
-        }
-        out
+        vector
+            .chunks(self.tile_dim)
+            .map(|c| {
+                let mut chunk = c.to_vec();
+                chunk.resize(self.tile_dim, 0);
+                chunk
+            })
+            .collect()
     }
 
     /// Stores one vector, one slice per tile. All-or-nothing: every chunk
@@ -256,12 +257,11 @@ impl TiledArray {
 
     /// Accumulated distances for every query of a batch, served through
     /// each tile's batched fast path ([`FerexArray::distances_batch`]) —
-    /// so every tile independently dispatches to its structure-of-arrays
-    /// kernel (bit-plane popcount, contiguous LUT, or contribution table;
-    /// see [`FerexArray::batch_kernel`]). Bit-identical to a loop of
-    /// [`TiledArray::distances`] calls: each kernel reproduces the scalar
-    /// path exactly and partials accumulate in the same tile order per
-    /// row.
+    /// so every tile independently dispatches to its kernel (LUT or
+    /// contribution table; see [`FerexArray::batch_kernel`]).
+    /// Bit-identical to a loop of [`TiledArray::distances`] calls: each
+    /// kernel reproduces the scalar path exactly and partials accumulate
+    /// in the same tile order per row.
     ///
     /// # Errors
     ///
@@ -280,18 +280,15 @@ impl TiledArray {
         if self.is_empty() {
             return Err(FerexError::Empty);
         }
+        // Transpose query chunks into one batch per tile.
+        let mut per_tile = vec![Vec::with_capacity(queries.len()); self.tiles.len()];
+        for q in queries {
+            for (batch, chunk) in per_tile.iter_mut().zip(self.split(q)) {
+                batch.push(chunk);
+            }
+        }
         let mut totals = vec![vec![0.0f64; self.len()]; queries.len()];
-        for (t, tile) in self.tiles.iter().enumerate() {
-            let start = t * self.tile_dim;
-            let tile_queries: Vec<Vec<u32>> = queries
-                .iter()
-                .map(|q| {
-                    let end = (start + self.tile_dim).min(q.len());
-                    let mut chunk = q[start..end].to_vec();
-                    chunk.resize(self.tile_dim, 0);
-                    chunk
-                })
-                .collect();
+        for (tile, tile_queries) in self.tiles.iter().zip(per_tile) {
             let partials = tile.distances_batch(&tile_queries)?;
             for (query_totals, partial) in totals.iter_mut().zip(partials) {
                 for (total, p) in query_totals.iter_mut().zip(partial) {
@@ -337,10 +334,23 @@ impl TiledArray {
         if k == 0 || k > active {
             return Err(FerexError::InvalidK { k, rows: active });
         }
-        let mut order: Vec<usize> = (0..distances.len()).collect();
-        order.sort_by(|&a, &b| distances[a].total_cmp(&distances[b]).then(a.cmp(&b)));
-        order.truncate(k);
-        Ok(order)
+        let mut order: Vec<(usize, f64)> = distances.iter().copied().enumerate().collect();
+        order.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        Ok(order.into_iter().take(k).map(|(i, _)| i).collect())
+    }
+
+    /// Exact digital distance of `query` to every stored row under
+    /// `metric`: each tile's exact partial over its chunk, summed (all
+    /// partials are integers below 2⁵³, so the sum is exact). Rows that
+    /// are not live read as `+∞`.
+    pub(crate) fn exact_distances(&self, query: &[u32], metric: DistanceMetric) -> Vec<f64> {
+        let mut totals = vec![0.0f64; self.len()];
+        for (tile, chunk) in self.tiles.iter().zip(self.split(query)) {
+            for (total, partial) in totals.iter_mut().zip(tile.exact_distances(&chunk, metric)) {
+                *total += partial;
+            }
+        }
+        totals
     }
 
     /// The `k` nearest rows by accumulated distance, for every query of a
@@ -402,6 +412,7 @@ impl TiledArray {
     ///
     /// # Errors
     ///
+    /// [`FerexError::RowOutOfRange`] past the last row;
     /// [`FerexError::SparesExhausted`] if any tile ran out of spares — the
     /// remaining tiles are still processed first, and the row ends up
     /// excluded from search (an infinite partial in one tile makes the
@@ -518,7 +529,7 @@ impl TiledArray {
         let slot = self.tiles.first()?.slot_of(id)?;
         let mut out = Vec::with_capacity(self.dim);
         for tile in &self.tiles {
-            out.extend_from_slice(tile.stored().get(slot)?);
+            out.extend(tile.row(slot)?);
         }
         out.truncate(self.dim);
         Some(out)
@@ -543,15 +554,15 @@ impl TiledArray {
     ) -> Result<(), FerexError> {
         let mut first_err = None;
         for (tile, chunk) in self.tiles.iter_mut().zip(chunks) {
-            tile.mutation_set_contents(slot, chunk.clone());
+            tile.mutation_set_contents(slot, chunk);
             if let Err(e) = tile.mutation_write_slot(slot, chunk) {
                 first_err = first_err.or(Some(e));
             }
         }
         if let Some(e) = first_err {
-            let tile_dim = self.tile_dim;
+            let zeros = vec![0; self.tile_dim];
             for tile in &mut self.tiles {
-                tile.mutation_set_contents(slot, vec![0; tile_dim]);
+                tile.mutation_set_contents(slot, &zeros);
             }
             return Err(e);
         }
@@ -643,18 +654,15 @@ impl TiledArray {
                 Ok(())
             }
             _ => {
-                let previous: Vec<Vec<u32>> = self
-                    .tiles
-                    .iter()
-                    .map(|t| t.stored().get(old).cloned().unwrap_or_default())
-                    .collect();
+                let previous: Vec<Vec<u32>> =
+                    self.tiles.iter().map(|t| t.row(old).unwrap_or_default()).collect();
                 match self.prepare_slot_on_all_tiles(old, &chunks) {
                     Ok(()) => Ok(()),
                     Err(e) => {
                         // Roll the row back to its old contents on every
                         // tile (attempted everywhere: cycles stay lockstep).
                         for (tile, prev) in self.tiles.iter_mut().zip(previous) {
-                            tile.mutation_set_contents(old, prev.clone());
+                            tile.mutation_set_contents(old, &prev);
                             let _ = tile.mutation_write_slot(old, &prev);
                         }
                         Err(e)
@@ -721,7 +729,7 @@ impl TiledArray {
             return report;
         };
         let chunks: Vec<Vec<u32>> =
-            self.tiles.iter().map(|t| t.stored().get(src).cloned().unwrap_or_default()).collect();
+            self.tiles.iter().map(|t| t.row(src).unwrap_or_default()).collect();
         if self.prepare_slot_on_all_tiles(dst, &chunks).is_err() {
             return report;
         }
@@ -1048,17 +1056,17 @@ mod tests {
     }
 
     #[test]
-    fn tiled_batch_runs_the_popcount_kernel_bit_identically() {
-        // Ideal + realized Hamming: every tile dispatches the batch to the
-        // bit-plane popcount kernel, and the accumulated totals must still
-        // equal the scalar per-query path bit for bit.
+    fn tiled_batch_runs_the_lut_kernel_bit_identically() {
+        // Ideal + Hamming: every tile dispatches the batch to the LUT
+        // kernel, and the accumulated totals must still equal the scalar
+        // per-query path bit for bit.
         let enc = encoding();
         let mut tiled = TiledArray::new(Technology::default(), enc, 10, 4, Backend::Ideal);
         for v in data(10) {
             tiled.store(v).unwrap();
         }
         for tile in &tiled.tiles {
-            assert_eq!(tile.batch_kernel(6), "bitplane-popcount");
+            assert_eq!(tile.batch_kernel(6), "lut");
         }
         let queries: Vec<Vec<u32>> =
             (0..6).map(|q| (0..10).map(|d| ((3 * q + d) % 4) as u32).collect()).collect();
@@ -1117,6 +1125,24 @@ mod tests {
         assert_eq!(h.rows_remapped_now, 1);
         assert_eq!(h.spare_rows, 3);
         assert_eq!(h.spares_in_use, 3);
+    }
+
+    #[test]
+    fn tiled_quarantine_past_the_last_row_is_a_typed_error() {
+        let cfg = CircuitConfig { seed: 5, ..Default::default() };
+        let mut tiled = TiledArray::new(
+            Technology::default(),
+            encoding(),
+            10,
+            4,
+            Backend::Noisy(Box::new(cfg)),
+        );
+        for v in data(10) {
+            tiled.store(v).unwrap();
+        }
+        tiled.program();
+        assert_eq!(tiled.quarantine_row(4), Err(FerexError::RowOutOfRange { row: 4, rows: 4 }));
+        assert_eq!(tiled.health().rows_active, 4, "no tile quarantined anything");
     }
 
     // ------------------------------------------------------------------
@@ -1237,7 +1263,7 @@ mod tests {
                 .zip(&chunks)
                 .map(|(t, c)| {
                     let mut probe = t.clone();
-                    probe.mutation_set_contents(0, c.clone());
+                    probe.mutation_set_contents(0, c);
                     probe.mutation_write_slot(0, c).is_ok()
                 })
                 .collect();

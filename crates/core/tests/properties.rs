@@ -274,10 +274,9 @@ proptest! {
         }
     }
 
-    /// The batched SoA/bit-sliced kernels are bit-identical to the legacy
-    /// scalar path — for every metric (Hamming exercises the packed
-    /// bit-plane popcount kernel, Manhattan/Euclidean² the per-query LUT
-    /// kernel), every backend (Noisy additionally crosses between the
+    /// The batched kernels are bit-identical to the scalar path — for
+    /// every metric (the Ideal backend runs the per-query LUT kernel for
+    /// all of them), every backend (Noisy additionally crosses between the
     /// scalar small-batch path and the dense contribution table as the
     /// batch grows), under hard-fault/aging plans, and with quarantined
     /// (excluded) or spared (remapped) rows in the mix. `distances_batch`
@@ -410,7 +409,7 @@ proptest! {
             quorum: QuorumPolicy { reads, agree },
             ..Default::default()
         };
-        let mut set = ReplicaSet::new(replicas, data.clone(), metric, policy);
+        let mut set = ReplicaSet::new(replicas, metric, policy);
 
         // Batches of one mirror the bare array's query-id stream.
         for (i, q) in queries.iter().enumerate() {

@@ -153,8 +153,9 @@ impl AmKnn {
     /// set (for agreement checks and accuracy baselines).
     pub fn to_exact(&self) -> ExactKnn {
         let mut exact = ExactKnn::new(self.ferex.metric(), self.k);
-        for (row, label) in self.ferex.array().stored().iter().zip(&self.labels) {
-            exact.insert(row.clone(), *label);
+        let array = self.ferex.array();
+        for (row, label) in (0..array.len()).filter_map(|r| array.row(r)).zip(&self.labels) {
+            exact.insert(row, *label);
         }
         exact
     }
