@@ -68,16 +68,6 @@ impl DelayModel {
             lta_compare: self.lta.delay(rows),
         }
     }
-
-    /// Sustained query throughput (searches/s). With `pipelined`, the ScL
-    /// settling of query *n+1* overlaps the LTA comparison of query *n*
-    /// (two-stage pipeline), so the rate is set by the slower stage rather
-    /// than the sum.
-    pub fn throughput(&self, rows: usize, cols: usize, pipelined: bool) -> f64 {
-        let d = self.search_delay(rows, cols);
-        let cycle = if pipelined { d.scl_settle.max(d.lta_compare) } else { d.total() };
-        1.0 / cycle.value()
-    }
 }
 
 #[cfg(test)]
@@ -108,18 +98,6 @@ mod tests {
         let m = DelayModel::default();
         let t = m.search_delay(128, 128).total().value();
         assert!((2e-9..30e-9).contains(&t), "total delay {t}");
-    }
-
-    #[test]
-    fn pipelining_raises_throughput() {
-        let m = DelayModel::default();
-        let serial = m.throughput(64, 64, false);
-        let pipelined = m.throughput(64, 64, true);
-        assert!(pipelined > serial);
-        // Bounded by 2× for a two-stage pipeline.
-        assert!(pipelined <= 2.0 * serial + 1.0);
-        // ~100 M searches/s regime for a 64×64 array.
-        assert!((5e7..5e8).contains(&pipelined), "throughput {pipelined}");
     }
 
     #[test]

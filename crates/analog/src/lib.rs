@@ -13,7 +13,6 @@
 //! * [`parasitics`] — DESTINY-style 45nm wire RC.
 //! * [`delay`], [`energy`] — the Fig. 6 timing and energy models.
 //! * [`montecarlo`] — the Fig. 7 variation campaign harness.
-//! * [`adc`] — SAR readout for digital distance values.
 //!
 //! # Quick example
 //!
@@ -35,7 +34,6 @@
 //! assert_eq!(nearest, 0);
 //! ```
 
-pub mod adc;
 pub mod crossbar;
 pub mod delay;
 pub mod driver;
@@ -48,7 +46,6 @@ pub mod opamp;
 pub mod parasitics;
 pub mod transient;
 
-pub use adc::{AdcParams, AdcReadout};
 pub use crossbar::{ArrayOptions, ColumnDrive, Crossbar};
 pub use delay::{DelayBreakdown, DelayModel};
 pub use driver::DriverParams;

@@ -78,37 +78,12 @@ impl LtaParams {
     /// Panics if `currents` is empty.
     pub fn sense<R: Rng + ?Sized>(&self, currents: &[Amp], rng: &mut R) -> LtaDecision {
         assert!(!currents.is_empty(), "LTA needs at least one row");
-        let perturbed: Vec<Amp> = currents
-            .iter()
-            .map(|i| Amp(normal(rng, i.value(), self.offset_sigma.value())))
-            .collect();
-        let loser = argmin(&perturbed);
+        let perturbed: Vec<f64> =
+            currents.iter().map(|i| normal(rng, i.value(), self.offset_sigma.value())).collect();
+        // Non-empty by the assert above; row 0 keeps this serving path
+        // panic-free regardless.
+        let loser = argmin(&perturbed).unwrap_or(0);
         LtaDecision { loser, perturbed }
-    }
-
-    /// Winner-take-all mode: the row with *maximal* current. The same
-    /// comparator topology run in its WTA polarity (Liu et al. use the WTA
-    /// flavor for cosine-similarity search; FeReX uses the LTA mirror for
-    /// distance minimization).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `currents` is empty.
-    pub fn sense_max<R: Rng + ?Sized>(&self, currents: &[Amp], rng: &mut R) -> LtaDecision {
-        assert!(!currents.is_empty(), "WTA needs at least one row");
-        let perturbed: Vec<Amp> = currents
-            .iter()
-            .map(|i| Amp(normal(rng, i.value(), self.offset_sigma.value())))
-            .collect();
-        // Non-empty by the assert above; the fallback row keeps this
-        // serving path panic-free regardless.
-        let winner = perturbed
-            .iter()
-            .enumerate()
-            .max_by(|(_, a), (_, b)| a.value().total_cmp(&b.value()))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        LtaDecision { loser: winner, perturbed }
     }
 
     /// Iteratively extracts the `k` smallest rows: after each decision the
@@ -150,18 +125,18 @@ impl LtaParams {
 pub struct LtaDecision {
     /// Index of the row sensed as having minimal current.
     pub loser: usize,
-    /// The offset-perturbed currents the comparator actually saw.
-    pub perturbed: Vec<Amp>,
+    /// The offset-perturbed currents the comparator actually saw, in
+    /// amperes (plain `f64`, so the shared [`argmin`] reads them in place).
+    pub perturbed: Vec<f64>,
 }
 
-fn argmin(values: &[Amp]) -> usize {
-    // Callers assert non-emptiness; row 0 is the panic-free fallback.
-    values
-        .iter()
-        .enumerate()
-        .min_by(|(_, a), (_, b)| a.value().total_cmp(&b.value()))
-        .map(|(i, _)| i)
-        .unwrap_or(0)
+/// Index of the smallest value under [`f64::total_cmp`], or `None` for an
+/// empty slice. Ties go to the lower index (a deterministic comparator
+/// tree), `-0.0` orders before `+0.0`, and an `+inf` row (quarantined)
+/// never wins over a finite one. The one argmin shared by LTA sensing,
+/// the cross-tile digital comparison and the replica oracle fallback.
+pub fn argmin(values: &[f64]) -> Option<usize> {
+    values.iter().enumerate().min_by(|(_, a), (_, b)| a.total_cmp(b)).map(|(i, _)| i)
 }
 
 #[cfg(test)]
@@ -177,17 +152,23 @@ mod tests {
         let currents = vec![Amp(5e-7), Amp(2e-7), Amp(9e-7), Amp(3e-7)];
         let d = lta.sense(&currents, &mut rng);
         assert_eq!(d.loser, 1);
-        assert_eq!(d.perturbed, currents);
+        assert_eq!(d.perturbed, currents.iter().map(|i| i.value()).collect::<Vec<_>>());
     }
 
     #[test]
-    fn wta_mode_returns_argmax() {
-        let lta = LtaParams::ideal();
-        let mut rng = StdRng::seed_from_u64(0);
-        let currents = vec![Amp(5e-7), Amp(2e-7), Amp(9e-7), Amp(3e-7)];
-        assert_eq!(lta.sense_max(&currents, &mut rng).loser, 2);
-        // WTA and LTA are mirror images: max of negated = min of original.
-        assert_eq!(lta.sense(&currents, &mut rng).loser, 1);
+    fn argmin_orders_by_total_cmp_and_keeps_the_first_minimum() {
+        let inf = f64::INFINITY;
+        let cases: [(&str, &[f64], Option<usize>); 6] = [
+            ("ties go to the lower index", &[3.0, 1.0, 2.0, 1.0], Some(1)),
+            ("-0.0 comes before +0.0", &[0.0, -0.0, 1.0], Some(1)),
+            ("+0.0 after -0.0 keeps the -0.0 row", &[-0.0, 0.0], Some(0)),
+            ("+inf never wins over a finite row", &[inf, inf, 7.5, inf], Some(2)),
+            ("all +inf still names the first row", &[inf, inf], Some(0)),
+            ("an empty slice has no minimum", &[], None),
+        ];
+        for (what, values, want) in cases {
+            assert_eq!(argmin(values), want, "{what}");
+        }
     }
 
     #[test]

@@ -27,8 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for &dim in &dim_sweep {
             let mut engine = random_filled_engine(rows, dim, Backend::Ideal, 11)?;
             let cost = engine.cost_report(&random_query(dim, 13))?;
-            let per_bit = cost.energy.total().value() / (rows * dim * 2) as f64;
-            print!(" {:>10.3}", per_bit * 1e15);
+            print!(" {:>10.3}", cost.energy.per_bit(rows, dim * 2).value() * 1e15);
         }
         println!();
     }

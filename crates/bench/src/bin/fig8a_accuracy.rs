@@ -10,8 +10,7 @@
 //!
 //! Run with: `cargo run --release -p ferex-bench --bin fig8a_accuracy`
 
-use ferex_bench::noisy_backend;
-use ferex_core::{Backend, DistanceMetric};
+use ferex_core::{Backend, CircuitConfig, DistanceMetric};
 use ferex_datasets::spec::{ISOLET, MNIST, UCIHAR};
 use ferex_datasets::synth::{generate, SynthOptions};
 use ferex_hdc::am::{AmClassifier, AmConfig};
@@ -38,7 +37,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let software = model.accuracy(&data.test);
 
         let mut accs = Vec::new();
-        for backend in [Backend::Ideal, noisy_backend(seed)] {
+        let noisy = Backend::Noisy(Box::new(CircuitConfig { seed, ..Default::default() }));
+        for backend in [Backend::Ideal, noisy] {
             let cfg = AmConfig { backend: backend.clone(), ..Default::default() };
             let mut am = AmClassifier::from_model(&model, &cfg)?;
             for metric in DistanceMetric::ALL {

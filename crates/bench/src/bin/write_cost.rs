@@ -68,5 +68,5 @@ fn main() {
     println!(" scheme; real devices show small cumulative drift)");
     println!("\n(reconfiguration cost = one full-array re-program; the CSP encoding");
     println!(" itself is software: ~0.1 ms (Hamming/Manhattan) to ~4 ms (Euclidean2)");
-    println!(" per metric switch — see the encoding_csp criterion bench)");
+    println!(" per metric switch)");
 }

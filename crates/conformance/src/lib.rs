@@ -13,7 +13,7 @@
 //!    statistical-vs-device divergence tolerances, and recall degradation
 //!    curves under rising fault rates.
 //! 3. [`report`] — the machine-readable reports (JSON through the shared
-//!    `ferex-json` writer; the vendored `serde` is an inert stub) consumed
+//!    `ferex-json` writer) consumed
 //!    by `ferex-bench`'s `robustness` binary and archived by CI.
 //! 4. [`chaos`] and [`load`] — deterministic serving soaks: replicated
 //!    serving under faults/kills/scrubs, and the virtual-time load

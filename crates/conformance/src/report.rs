@@ -1,8 +1,8 @@
 //! Machine-readable conformance, recovery, chaos, mutation and load
 //! reports.
 //!
-//! Serialized as JSON through the shared `ferex-json` writer (the vendored
-//! `serde` is an inert stub, so no derive machinery is available offline).
+//! Serialized as JSON through the shared `ferex-json` writer (no derive
+//! machinery is available offline).
 //! Each schema is versioned by its `schema` field; consumers are
 //! `ferex-bench`'s `robustness` binary and the CI jobs, which archive the
 //! files as build artifacts.

@@ -453,27 +453,6 @@ impl FerexArray {
         self.invalidate_physical_state();
     }
 
-    /// Removes the vector at `row` (later rows shift up — the physical
-    /// analogue is erasing the row and compacting the row map). Returns the
-    /// removed vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range, or on a mutation-enabled array
-    /// (row indices shift here, which would corrupt the slot table — use
-    /// [`FerexArray::delete`]).
-    pub fn remove(&mut self, row: usize) -> Vec<u32> {
-        assert!(
-            self.mutation.is_none(),
-            "positional remove on a mutation-enabled array; use delete(id)"
-        );
-        assert!(row < self.len(), "row {row} out of range");
-        let removed = self.row(row).unwrap_or_default();
-        self.codes.remove_row(row);
-        self.invalidate_physical_state();
-        removed
-    }
-
     /// Replaces the vector at `row` in place (a row re-program).
     ///
     /// # Errors
@@ -1007,37 +986,6 @@ impl FerexArray {
         }
         let distances = self.distances_batch(queries)?;
         Ok(distances.into_iter().zip(qids).map(|(d, &qid)| self.sense_nearest(d, qid)).collect())
-    }
-
-    /// Digital distance readout: senses all rows and digitizes the row
-    /// currents with the given ADC (full scale auto-ranged to the encoding
-    /// maximum if `adc.full_scale` is zero). Returns per-row distance
-    /// *codes* plus the conversion cost — the readout mode used when the
-    /// application needs distance values rather than just the argmin
-    /// (e.g. cross-tile accumulation or confidence scores).
-    ///
-    /// # Errors
-    ///
-    /// As [`FerexArray::distances`].
-    pub fn read_digital(
-        &self,
-        query: &[u32],
-        adc: &ferex_analog::adc::AdcParams,
-        parallelism: usize,
-    ) -> Result<ferex_analog::adc::AdcReadout, FerexError> {
-        let distances = self.distances(query)?;
-        let i_unit = self.tech.i_unit().value();
-        let currents = self.to_currents(&distances);
-        let adc = if adc.full_scale.value() > 0.0 {
-            *adc
-        } else {
-            // Auto-range: the worst-case row distance is max-DM-entry per
-            // symbol across the whole vector.
-            let max_units =
-                (self.encoding.max_vds_multiple as usize * self.encoding.k * self.dim) as f64;
-            ferex_analog::adc::AdcParams { full_scale: Amp(max_units * i_unit), ..*adc }
-        };
-        Ok(adc.read_out(&currents, parallelism))
     }
 
     fn sense_k(&self, distances: &[f64], k: usize, qid: u64) -> Result<Vec<usize>, FerexError> {
@@ -2455,35 +2403,10 @@ mod tests {
     }
 
     #[test]
-    fn digital_readout_codes_track_distances() {
-        use ferex_analog::adc::AdcParams;
-        let mut a = hamming_array(8, Backend::Ideal);
-        a.store(vec![0; 8]).unwrap();
-        a.store(vec![1; 8]).unwrap();
-        a.store(vec![3; 8]).unwrap();
-        let q = vec![0u32; 8];
-        // 10-bit ADC auto-ranged: integer distances must come back as
-        // proportional codes preserving the ordering.
-        let adc =
-            AdcParams { bits: 10, full_scale: ferex_fefet::units::Amp(0.0), ..Default::default() };
-        let readout = a.read_digital(&q, &adc, 1).unwrap();
-        assert_eq!(readout.codes.len(), 3);
-        assert!(readout.codes[0] < readout.codes[1]);
-        assert!(readout.codes[1] < readout.codes[2]);
-        assert!(readout.time.value() > 0.0);
-        assert!(readout.energy.value() > 0.0);
-    }
-
-    #[test]
-    fn remove_and_update_rows() {
+    fn update_rows() {
         let mut a = hamming_array(2, Backend::Ideal);
         a.store(vec![0, 0]).unwrap();
-        a.store(vec![1, 1]).unwrap();
         a.store(vec![2, 2]).unwrap();
-        let removed = a.remove(1);
-        assert_eq!(removed, vec![1, 1]);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.row(1), Some(vec![2, 2]));
         a.update(0, vec![3, 3]).unwrap();
         let out = search_at(&a, &[3, 3], 0).unwrap();
         assert_eq!(out.nearest, 0);

@@ -14,7 +14,6 @@ use std::fmt;
 
 /// A distance metric over b-bit symbol values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DistanceMetric {
     /// Bitwise Hamming distance: `popcount(a XOR b)`.
     Hamming,

@@ -22,7 +22,6 @@ use std::fmt;
 /// assert_eq!(dm.max_value(), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DistanceMatrix {
     n_search: usize,
     n_stored: usize,

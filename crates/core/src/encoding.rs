@@ -24,7 +24,6 @@ use std::fmt;
 /// Stored-side encoding of one symbol value: the threshold level of each of
 /// the cell's K FeFETs.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StoredEncoding {
     /// Threshold level index per FeFET (0 = lowest `V_th`).
     pub vth_levels: Vec<usize>,
@@ -32,7 +31,6 @@ pub struct StoredEncoding {
 
 /// Search-side encoding of one symbol value.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SearchEncoding {
     /// Gate-voltage level index per FeFET (0 turns nothing on).
     pub vgs_levels: Vec<usize>,
@@ -42,7 +40,6 @@ pub struct SearchEncoding {
 
 /// The complete voltage encoding of one AM cell for one distance matrix.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CellEncoding {
     /// FeFETs per cell.
     pub k: usize,

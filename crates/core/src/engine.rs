@@ -198,11 +198,6 @@ impl Ferex {
         &self.dm
     }
 
-    /// The sizing report (attempt trail + encoding) of the current metric.
-    pub fn sizing_report(&self) -> &SizingReport {
-        &self.report
-    }
-
     /// The active cell encoding.
     pub fn encoding(&self) -> &CellEncoding {
         &self.report.encoding
@@ -211,11 +206,6 @@ impl Ferex {
     /// The underlying array.
     pub fn array(&self) -> &FerexArray {
         &self.array
-    }
-
-    /// Mutable access to the underlying array (e.g. to clear it).
-    pub fn array_mut(&mut self) -> &mut FerexArray {
-        &mut self.array
     }
 
     /// Stores one vector.

@@ -26,7 +26,6 @@ use std::fmt;
 /// `I_unit` multiples; 0 = never conducts on this line) and the set of
 /// stored values under which it conducts, as a column bitmask.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FetRow {
     /// Current level in `I_unit` multiples (equals the `V_ds` multiple).
     pub level: u32,
@@ -41,7 +40,6 @@ impl FetRow {
 
 /// One candidate configuration of a search line: per-FeFET usage.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RowConfig {
     /// Per-FeFET usage, index-aligned with the cell's physical FeFETs.
     pub fets: Vec<FetRow>,

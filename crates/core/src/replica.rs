@@ -41,6 +41,7 @@ use crate::health::HealthSnapshot;
 use crate::latency::LatencyModel;
 use crate::mutate::{CompactionReport, MutableNode, WearSummary};
 use crate::tile::TiledArray;
+use ferex_analog::lta::argmin;
 use ferex_fefet::math::splitmix64;
 use ferex_fefet::Technology;
 
@@ -773,12 +774,7 @@ impl<A: ReplicaNode> ReplicaSet<A> {
     fn digital_fallback(&self, query: &[u32]) -> Result<SearchOutcome, FerexError> {
         let first = self.replicas.first().ok_or(FerexError::Empty)?;
         let distances = first.exact_distances(query, self.metric);
-        let nearest = distances
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.total_cmp(b))
-            .map(|(i, _)| i)
-            .ok_or(FerexError::Empty)?;
+        let nearest = argmin(&distances).ok_or(FerexError::Empty)?;
         Ok(SearchOutcome { distances, nearest })
     }
 

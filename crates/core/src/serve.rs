@@ -384,11 +384,6 @@ impl<A: ReplicaNode> ServeLoop<A> {
         &mut self.set
     }
 
-    /// Number of tenants.
-    pub fn tenants(&self) -> usize {
-        self.queues.len()
-    }
-
     /// The loop's virtual clock.
     pub fn now(&self) -> u64 {
         self.now

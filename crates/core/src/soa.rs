@@ -71,13 +71,6 @@ impl SoaCodes {
         }
     }
 
-    /// Removes row `r`, shifting later rows up (mirrors
-    /// [`crate::array::FerexArray::remove`]).
-    pub(crate) fn remove_row(&mut self, r: usize) {
-        let base = r * self.dim;
-        self.codes.drain(base..base + self.dim);
-    }
-
     /// Drops every row.
     pub(crate) fn clear(&mut self) {
         self.codes.clear();
@@ -166,9 +159,7 @@ mod tests {
         soa.set_row(1, &[9, 9, 9]);
         assert_eq!(soa.row(1), Some(&[9, 9, 9][..]));
         soa.set_row(3, &[1, 1, 1]);
-        soa.remove_row(0);
-        assert_eq!(soa.rows(), 2);
-        assert_eq!(soa.as_slice(), &[9, 9, 9, 6, 7, 8]);
+        assert_eq!(soa.as_slice(), &[0, 1, 2, 9, 9, 9, 6, 7, 8]);
         soa.clear();
         assert!(soa.as_slice().is_empty());
         assert_eq!(soa.rows(), 0);

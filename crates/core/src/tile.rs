@@ -19,6 +19,7 @@ use crate::error::FerexError;
 use crate::health::{HealthSnapshot, ProgramReport, RepairPolicy, RowHealth, ScrubReport};
 use crate::mutate::{CompactionReport, MutableNode, MutationPolicy, SlotState, WearSummary};
 use crate::sizing::find_minimal_cell;
+use ferex_analog::lta::argmin;
 use ferex_fefet::math::splitmix64;
 use ferex_fefet::Technology;
 
@@ -305,12 +306,7 @@ impl TiledArray {
         if !distances.iter().any(|d| d.is_finite()) {
             return Err(FerexError::Empty);
         }
-        let nearest = distances
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.total_cmp(b))
-            .map(|(i, _)| i)
-            .ok_or(FerexError::Empty)?;
+        let nearest = argmin(&distances).ok_or(FerexError::Empty)?;
         Ok(SearchOutcome { distances, nearest })
     }
 
@@ -1143,6 +1139,23 @@ mod tests {
         tiled.program();
         assert_eq!(tiled.quarantine_row(4), Err(FerexError::RowOutOfRange { row: 4, rows: 4 }));
         assert_eq!(tiled.health().rows_active, 4, "no tile quarantined anything");
+    }
+
+    #[test]
+    fn tiled_search_with_every_row_quarantined_is_empty() {
+        let mut tiled = TiledArray::new(Technology::default(), encoding(), 10, 4, Backend::Ideal);
+        for v in data(10) {
+            tiled.store(v).unwrap();
+        }
+        tiled.program();
+        for row in 0..4 {
+            // No spares: each row is excluded, and the error says so.
+            assert!(matches!(tiled.quarantine_row(row), Err(FerexError::SparesExhausted { .. })));
+        }
+        assert_eq!(tiled.health().rows_active, 0);
+        // Every accumulated distance is +inf, so the shared argmin has no
+        // finite row to name and the digital comparison reports no neighbor.
+        assert_eq!(search_one(&tiled, &data(10)[0]), Err(FerexError::Empty));
     }
 
     // ------------------------------------------------------------------

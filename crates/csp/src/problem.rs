@@ -174,14 +174,8 @@ impl<V> Problem<V> {
         self.constraints.len()
     }
 
-    /// The variable ids in declaration order.
-    pub fn variables(&self) -> impl Iterator<Item = VarId> + '_ {
-        (0..self.vars.len()).map(VarId)
-    }
-
-    /// The `VarId` at a raw index, when in range. The checked
-    /// counterpart of `variables().nth(i)` — O(1) and panic-free, for
-    /// solver internals that index variables positionally.
+    /// The `VarId` at a raw index, when in range — O(1) and panic-free,
+    /// for solver internals that index variables positionally.
     pub fn var_at(&self, index: usize) -> Option<VarId> {
         (index < self.vars.len()).then_some(VarId(index))
     }

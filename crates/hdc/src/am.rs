@@ -42,8 +42,6 @@ impl Default for AmConfig {
 #[derive(Debug, Clone)]
 pub struct AmClassifier {
     ferex: Ferex,
-    /// Per-dimension symmetric quantization scale for class sums.
-    scale: Vec<f64>,
     bits: u32,
 }
 
@@ -89,17 +87,12 @@ impl AmClassifier {
                 .collect();
             ferex.store(symbols)?;
         }
-        Ok(AmClassifier { ferex, scale, bits: config.bits })
+        Ok(AmClassifier { ferex, bits: config.bits })
     }
 
     /// The underlying engine (for cost reporting or inspection).
     pub fn ferex(&self) -> &Ferex {
         &self.ferex
-    }
-
-    /// Mutable engine access.
-    pub fn ferex_mut(&mut self) -> &mut Ferex {
-        &mut self.ferex
     }
 
     /// Reconfigures the array to a different metric without retraining —
@@ -146,25 +139,6 @@ impl AmClassifier {
         Ok(outcomes.into_iter().map(|o| o.nearest).collect())
     }
 
-    /// Classifies with a confidence margin: the relative distance gap
-    /// between the winning class and the runner-up
-    /// (`(d₂ − d₁)/max(d₂, ε)` ∈ [0, 1]). A tiny margin flags an ambiguous
-    /// decision — the quantity a system would thresh to fall back to a
-    /// high-precision path.
-    ///
-    /// # Errors
-    ///
-    /// Search errors; requires at least two classes.
-    pub fn classify_with_margin(&mut self, hv: &Hypervector) -> Result<(usize, f64), FerexError> {
-        let symbols = self.quantize_query(hv);
-        let ranked = self.ferex.search_k(&symbols, 2)?;
-        let distances = self.ferex.array_mut().distances(&symbols)?;
-        let d1 = distances[ranked[0]];
-        let d2 = distances[ranked[1]];
-        let margin = ((d2 - d1) / d2.max(1e-12)).clamp(0.0, 1.0);
-        Ok((ranked[0], margin))
-    }
-
     /// Encodes (with the model's encoder) and classifies a raw sample
     /// stream; returns accuracy.
     ///
@@ -187,11 +161,6 @@ impl AmClassifier {
         let predicted = self.classify_batch(&hvs)?;
         let correct = predicted.iter().zip(samples).filter(|(p, s)| **p == s.label).count();
         Ok(correct as f64 / samples.len() as f64)
-    }
-
-    /// The per-dimension quantization scales (exposed for analysis).
-    pub fn scales(&self) -> &[f64] {
-        &self.scale
     }
 }
 
@@ -240,24 +209,6 @@ mod tests {
         for (m, acc) in DistanceMetric::ALL.iter().zip(&accs) {
             assert!(*acc > 0.5, "{m} accuracy {acc}");
         }
-    }
-
-    #[test]
-    fn margin_is_high_for_confident_decisions() {
-        let (data, model) = trained();
-        let mut am = AmClassifier::from_model(&model, &AmConfig::default()).expect("builds");
-        let mut margins = Vec::new();
-        for s in data.test.iter().take(20) {
-            let hv = model.encoder().encode(&s.features);
-            let (pred, margin) = am.classify_with_margin(&hv).expect("searches");
-            assert!((0.0..=1.0).contains(&margin));
-            // The margin-returning path must agree with the plain path.
-            assert_eq!(pred, am.classify_hv(&hv).expect("searches"));
-            margins.push(margin);
-        }
-        // On well-separated data most decisions carry a real margin.
-        let mean: f64 = margins.iter().sum::<f64>() / margins.len() as f64;
-        assert!(mean > 0.05, "mean margin {mean} suspiciously low");
     }
 
     #[test]

@@ -82,19 +82,6 @@ impl Hypervector {
         assert_eq!(self.dim(), other.dim(), "dimension mismatch");
         self.components.iter().zip(&other.components).filter(|(a, b)| a != b).count()
     }
-
-    /// Permutation ρ: cyclic rotation by `shift` positions — the VSA
-    /// sequence/position marker. `permute(k)` then `permute(dim − k)` is
-    /// the identity, and a permuted vector is quasi-orthogonal to the
-    /// original.
-    pub fn permute(&self, shift: usize) -> Hypervector {
-        let n = self.components.len();
-        let shift = shift % n;
-        let mut components = Vec::with_capacity(n);
-        components.extend_from_slice(&self.components[n - shift..]);
-        components.extend_from_slice(&self.components[..n - shift]);
-        Hypervector { components }
-    }
 }
 
 /// An integer accumulator for bundling many hypervectors before taking the

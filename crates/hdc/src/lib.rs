@@ -37,11 +37,9 @@ pub mod encoder;
 pub mod hypervector;
 pub mod level;
 pub mod model;
-pub mod sequence;
 
 pub use am::{AmClassifier, AmConfig};
 pub use encoder::{FeatureEncoder, ProjectionEncoder};
 pub use hypervector::{Accumulator, Hypervector};
 pub use level::RecordEncoder;
 pub use model::{HdcModel, TrainReport};
-pub use sequence::{encode_sequence, ngram};

@@ -14,8 +14,8 @@
 //!   [`Value::inline`] (or any `Vec`) an array on one line, `[1, 2, 3]`.
 //!
 //! Report keys are the struct field names, so emitters list them with
-//! [`fields!`] rather than spelling each key twice. Zero dependencies: the
-//! vendored `serde` is an inert offline stub.
+//! [`fields!`] rather than spelling each key twice. Zero dependencies: no
+//! serializer crate is available offline.
 
 use std::fmt::Write as _;
 

@@ -117,29 +117,6 @@ impl AmKnn {
         Ok(ranked.iter().map(|nearest| self.vote(nearest)).collect())
     }
 
-    /// Classifies by inverse-distance-weighted vote over the `k`
-    /// LTA-nearest rows, using the sensed (possibly analog-noisy) distances
-    /// as weights — the AM counterpart of
-    /// [`ExactKnn::classify_weighted`](crate::exact::ExactKnn::classify_weighted).
-    ///
-    /// # Errors
-    ///
-    /// Search errors from the array.
-    pub fn classify_weighted(&mut self, query: &[u32]) -> Result<usize, FerexError> {
-        let nearest = self.ferex.search_k(query, self.k)?;
-        let distances = self.ferex.array_mut().distances(query)?;
-        let mut weights: Vec<(usize, f64)> = Vec::new();
-        for &row in &nearest {
-            let label = self.labels[row];
-            let w = 1.0 / (1.0 + distances[row].max(0.0));
-            match weights.iter_mut().find(|(l, _)| *l == label) {
-                Some((_, total)) => *total += w,
-                None => weights.push((label, w)),
-            }
-        }
-        Ok(weights.into_iter().max_by(|a, b| a.1.total_cmp(&b.1)).map(|(l, _)| l).expect("k >= 1"))
-    }
-
     /// Reconfigures the distance metric in place, keeping reference data.
     ///
     /// # Errors
@@ -194,19 +171,6 @@ mod tests {
         let exact = am.to_exact();
         assert_eq!(exact.metric(), DistanceMetric::Hamming);
         assert_eq!(am.classify(&[0, 0]).unwrap(), exact.classify(&[0, 0]));
-    }
-
-    #[test]
-    fn weighted_vote_agrees_with_exact_on_ideal_backend() {
-        let mut am = toy(Backend::Ideal);
-        let exact = am.to_exact();
-        for q in [[0u32, 0], [3, 3], [1, 1], [0, 3]] {
-            assert_eq!(
-                am.classify_weighted(&q).unwrap(),
-                exact.classify_weighted(&q),
-                "disagreement on {q:?}"
-            );
-        }
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! Evaluation harness: accuracy over quantized datasets, and worst-case
-//! query mining for the Fig. 7 Monte-Carlo study.
+//! Evaluation harness: accuracy over quantized datasets.
 
 use crate::am::AmKnn;
 use crate::exact::ExactKnn;
-use ferex_core::{DistanceMetric, FerexError};
+use ferex_core::FerexError;
 use ferex_datasets::dataset::Sample;
 use ferex_datasets::quantize::Quantizer;
 
@@ -40,51 +39,10 @@ pub fn am_accuracy(knn: &mut AmKnn, test: &[(Vec<u32>, usize)]) -> Result<f64, F
     Ok(correct as f64 / test.len() as f64)
 }
 
-/// A mined worst-case search instance: a query whose nearest and
-/// second-nearest stored vectors are separated by a minimal distance gap —
-/// the hardest case for analog sensing (the paper's Fig. 7 uses queries
-/// whose best match is at Hamming distance 5 with competitors at 6).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorstCase {
-    /// The query vector.
-    pub query: Vec<u32>,
-    /// Index of the true nearest stored vector.
-    pub nearest: usize,
-    /// Distance to the nearest stored vector.
-    pub d_nearest: u64,
-    /// Distance to the runner-up.
-    pub d_second: u64,
-}
-
-/// Scans `queries` against `stored` and returns instances ranked by how
-/// small the nearest/runner-up gap is (hardest first), keeping only cases
-/// with a unique winner.
-pub fn mine_worst_cases(
-    metric: DistanceMetric,
-    stored: &[Vec<u32>],
-    queries: &[Vec<u32>],
-) -> Vec<WorstCase> {
-    let mut cases = Vec::new();
-    for q in queries {
-        let mut dists: Vec<(u64, usize)> =
-            stored.iter().enumerate().map(|(i, s)| (metric.vector_distance(q, s), i)).collect();
-        dists.sort();
-        if dists.len() >= 2 && dists[0].0 < dists[1].0 {
-            cases.push(WorstCase {
-                query: q.clone(),
-                nearest: dists[0].1,
-                d_nearest: dists[0].0,
-                d_second: dists[1].0,
-            });
-        }
-    }
-    cases.sort_by_key(|c| c.d_second - c.d_nearest);
-    cases
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ferex_core::DistanceMetric;
     use ferex_datasets::spec::UCIHAR;
     use ferex_datasets::synth::{generate, SynthOptions};
 
@@ -110,28 +68,5 @@ mod tests {
         }
         let acc = exact_accuracy(&knn, &quantize_set(&quant, &data.test));
         assert!(acc > 0.8, "KNN accuracy only {acc}");
-    }
-
-    #[test]
-    fn worst_cases_are_ranked_by_gap() {
-        let stored = vec![vec![0u32, 0], vec![3, 3], vec![0, 1]];
-        let queries = vec![vec![0u32, 0], vec![3, 2], vec![1, 1]];
-        let cases = mine_worst_cases(DistanceMetric::Manhattan, &stored, &queries);
-        for w in cases.windows(2) {
-            assert!(
-                w[0].d_second - w[0].d_nearest <= w[1].d_second - w[1].d_nearest,
-                "not sorted by gap"
-            );
-        }
-        for c in &cases {
-            assert!(c.d_nearest < c.d_second);
-        }
-    }
-
-    #[test]
-    fn tied_winners_are_excluded() {
-        let stored = vec![vec![0u32], vec![2]];
-        let queries = vec![vec![1u32]]; // equidistant
-        assert!(mine_worst_cases(DistanceMetric::Manhattan, &stored, &queries).is_empty());
     }
 }

@@ -75,25 +75,6 @@ impl ExactKnn {
         scored.into_iter().take(self.k).map(|(_, i)| i).collect()
     }
 
-    /// Classifies by inverse-distance-weighted vote among the `k` nearest:
-    /// each neighbor contributes `1/(1+d)` to its class. Exact matches
-    /// dominate; far neighbors barely count. Useful when `k` is large
-    /// relative to the class sizes.
-    pub fn classify_weighted(&self, query: &[u32]) -> usize {
-        let nearest = self.nearest_indices(query);
-        let mut weights: Vec<(usize, f64)> = Vec::new();
-        for &i in &nearest {
-            let n = &self.neighbors[i];
-            let d = self.metric.vector_distance(query, &n.symbols) as f64;
-            let w = 1.0 / (1.0 + d);
-            match weights.iter_mut().find(|(l, _)| *l == n.label) {
-                Some((_, total)) => *total += w,
-                None => weights.push((n.label, w)),
-            }
-        }
-        weights.into_iter().max_by(|a, b| a.1.total_cmp(&b.1)).map(|(l, _)| l).expect("k >= 1")
-    }
-
     /// Classifies by majority vote among the `k` nearest (ties toward the
     /// closest member of the tied classes).
     pub fn classify(&self, query: &[u32]) -> usize {
@@ -154,25 +135,6 @@ mod tests {
         }
         assert_eq!(l1.classify(&[0, 0]), 0);
         assert_eq!(l2.classify(&[0, 0]), 1);
-    }
-
-    #[test]
-    fn weighted_vote_prefers_close_minority() {
-        // Two far class-1 neighbors vs one exact class-0 match: majority
-        // says 1, weighted vote says 0.
-        let mut knn = ExactKnn::new(DistanceMetric::Manhattan, 3);
-        knn.insert(vec![0, 0], 0);
-        knn.insert(vec![3, 3], 1);
-        knn.insert(vec![3, 2], 1);
-        assert_eq!(knn.classify(&[0, 0]), 1);
-        assert_eq!(knn.classify_weighted(&[0, 0]), 0);
-    }
-
-    #[test]
-    fn weighted_vote_agrees_on_clear_cases() {
-        let knn = toy();
-        assert_eq!(knn.classify_weighted(&[0, 0]), 0);
-        assert_eq!(knn.classify_weighted(&[3, 3]), 1);
     }
 
     #[test]

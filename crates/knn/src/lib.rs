@@ -4,8 +4,7 @@
 //! The KNN application of the paper's Sec. IV: an exact software classifier
 //! ([`exact::ExactKnn`]), the associative-memory-backed classifier
 //! ([`am::AmKnn`]) that performs each query as one FeReX search (k > 1 via
-//! iterative LTA masking), and the worst-case mining used by the Fig. 7
-//! Monte-Carlo robustness study ([`eval::mine_worst_cases`]).
+//! iterative LTA masking), and the accuracy harness ([`eval`]).
 //!
 //! # Examples
 //!
@@ -30,5 +29,5 @@ pub mod eval;
 pub mod exact;
 
 pub use am::AmKnn;
-pub use eval::{am_accuracy, exact_accuracy, mine_worst_cases, quantize_set, WorstCase};
+pub use eval::{am_accuracy, exact_accuracy, quantize_set};
 pub use exact::{ExactKnn, Neighbor};

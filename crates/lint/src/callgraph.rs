@@ -295,15 +295,85 @@ pub fn enclosing_fn(fns: &[FnItem], idx: usize) -> Option<usize> {
         .map(|(i, _)| i)
 }
 
-/// `true` for binary-target sources (`src/main.rs`, `src/bin/**`):
-/// their items are not addressable from library code, so cross-file
-/// calls never resolve into them — without this, a closure-parameter
-/// call like `trial(rng)` in a library happily links to some bench
-/// binary's free `trial` fn and drags its panics into every chain.
+/// `true` for binary-target sources (`src/main.rs`, `src/bin/**`, and
+/// the caller-only sources of [`crate::scan`]: `examples/**` and the
+/// out-of-workspace `perfbench/`): their items are not addressable from
+/// library code, so cross-file calls never resolve into them — without
+/// this, a closure-parameter call like `trial(rng)` in a library happily
+/// links to some bench binary's free `trial` fn and drags its panics
+/// into every chain.
 fn is_binary_target(file: &str) -> bool {
     let ends_main = file.ends_with("src/main.rs");
     let in_bin = file.contains("src/bin/");
-    ends_main || in_bin
+    let caller_only = file.starts_with("examples/")
+        || file.contains("/examples/")
+        || file.starts_with("perfbench/");
+    ends_main || in_bin || caller_only
+}
+
+/// A public library fn that no non-test code calls.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DeadPub {
+    /// Workspace-relative file.
+    pub file: String,
+    /// 1-based line of the `fn` keyword.
+    pub line: u32,
+    /// Fully-qualified path.
+    pub qualified: String,
+}
+
+/// Public, non-test library fns whose only callers (if any) are
+/// `#[cfg(test)]` code. `tests/` files and doc examples are never
+/// parsed, so their calls do not count; bins, examples and the
+/// benchmark do. A fn passed as a value (`.map(run_chaos)`) is not a
+/// call site, so such a fn is listed although it runs.
+///
+/// The taint pass wants few false edges; a dead-code claim wants none
+/// missed. So besides every resolved edge, a call the graph leaves
+/// unresolved or narrows — a std-named method ([`STD_METHODS`]), a bare
+/// call that preferred a same-crate fn, a path through a re-export
+/// (`ferex_cli::parse`) — keeps alive every fn bearing its final name.
+/// In node order.
+pub fn dead_pub(graph: &Graph) -> Vec<DeadPub> {
+    let mut called = vec![false; graph.nodes.len()];
+    let mut names: std::collections::BTreeSet<&String> = Default::default();
+    for (id, n) in graph.nodes.iter().enumerate() {
+        let caller = graph.item(id);
+        if caller.is_test {
+            continue;
+        }
+        for e in &graph.edges[id] {
+            called[e.callee] = true;
+        }
+        for c in &graph.files[n.file].calls[n.item] {
+            let Some(name) = c.segments.last() else { continue };
+            // `f(..)`, `self.f(..)` or `Self::f(..)` inside `f` is taken
+            // as recursion, not a caller; when it resolves to another fn
+            // (a trait impl delegating to the inherent method), that
+            // edge already counts above.
+            let own = c.receiver_self
+                || (c.segments.len() == 1 && !c.is_method)
+                || c.segments.first().is_some_and(|s| s == "Self");
+            if !(own && *name == caller.name) {
+                names.insert(name);
+            }
+        }
+    }
+    (0..graph.nodes.len())
+        .filter(|&id| {
+            let item = graph.item(id);
+            item.is_pub
+                && !item.is_test
+                && !is_binary_target(graph.file_of(id))
+                && !called[id]
+                && !names.contains(&item.name)
+        })
+        .map(|id| DeadPub {
+            file: graph.file_of(id).to_string(),
+            line: graph.item(id).line,
+            qualified: graph.item(id).qualified.clone(),
+        })
+        .collect()
 }
 
 /// Builds the workspace graph from per-file parses.

@@ -68,7 +68,9 @@ pub fn check(
 
 /// Renders the scan as versioned machine-readable JSON (the CI
 /// artifact), through the same `ferex-json` writer as every other report.
-/// Bump the schema id on any shape change.
+/// Bump the schema id on any shape change. `dead_pub` lists public
+/// library fns that only test code calls ([`callgraph::dead_pub`]); it is
+/// report-only and never gates.
 pub fn json_report(report: &ScanReport, cmp: &Comparison) -> String {
     let diagnostics = report.diagnostics.iter().map(|d| {
         let mut o = fields!(Object::inline(); d => file, line, rule, message);
@@ -83,14 +85,18 @@ pub fn json_report(report: &ScanReport, cmp: &Comparison) -> String {
         }
         o
     });
+    let dead_pub = report.dead_pub.iter().map(|d| {
+        Object::inline().field("fn", &d.qualified).field("file", &d.file).field("line", d.line)
+    });
     Object::pretty()
-        .field("schema", "ferex-lint-v2")
+        .field("schema", "ferex-lint-v3")
         .field("files_scanned", report.files_scanned)
         .field("new_violations", cmp.new_violations.len())
         .field("stale_baseline_entries", cmp.stale.len())
         .field("new_taint_findings", cmp.new_taint.len())
         .field("stale_taint_fingerprints", cmp.stale_taint.len())
         .field("diagnostics", Value::lines(diagnostics))
+        .field("dead_pub", Value::lines(dead_pub))
         .to_json()
 }
 
@@ -116,7 +122,13 @@ mod tests {
             qualified_fn: None,
             chain: Vec::new(),
         };
-        let report = ScanReport { diagnostics: vec![taint, plain], files_scanned: 3 };
+        let dead = callgraph::DeadPub {
+            file: "crates/core/src/engine.rs".to_string(),
+            line: 40,
+            qualified: "core::engine::Ferex::sizing_report".to_string(),
+        };
+        let report =
+            ScanReport { diagnostics: vec![taint, plain], files_scanned: 3, dead_pub: vec![dead] };
         let cmp = Comparison {
             new_violations: Vec::new(),
             stale: Vec::new(),
@@ -124,7 +136,7 @@ mod tests {
             stale_taint: Vec::new(),
         };
         let want = r#"{
-  "schema": "ferex-lint-v2",
+  "schema": "ferex-lint-v3",
   "files_scanned": 3,
   "new_violations": 0,
   "stale_baseline_entries": 0,
@@ -133,6 +145,9 @@ mod tests {
   "diagnostics": [
     {"file": "crates/core/src/serve.rs", "line": 12, "rule": "taint/panic", "message": "reaches `unwrap` via \"helper\"", "fn": "core::serve::poll", "chain": ["core::serve::poll", "core::serve::helper"], "fingerprint": "taint/panic|core::serve::poll|core::serve::poll->core::serve::helper"},
     {"file": "crates/core/src/array.rs", "line": 7, "rule": "panic-safety/index", "message": "unchecked index"}
+  ],
+  "dead_pub": [
+    {"fn": "core::engine::Ferex::sizing_report", "file": "crates/core/src/engine.rs", "line": 40}
   ]
 }
 "#;

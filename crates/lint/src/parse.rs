@@ -45,11 +45,6 @@ impl FnItem {
     pub fn contains_token(&self, idx: usize) -> bool {
         idx >= self.body.start && idx < self.body.end
     }
-
-    /// `true` when `line` falls within the item's source span.
-    pub fn contains_line(&self, line: u32) -> bool {
-        line >= self.line && line <= self.end_line
-    }
 }
 
 /// What a scope on the parser stack is.

@@ -10,9 +10,12 @@
 //! ([`crate::rules`]), then the workspace call-graph taint pass
 //! ([`crate::parse`] → [`crate::callgraph`] → [`crate::taint`]), which
 //! needs *every* crate parsed — a serving-crate public fn can reach a
-//! sink in a non-serving helper crate.
+//! sink in a non-serving helper crate. The same graph yields the
+//! report-only [`crate::callgraph::dead_pub`] list; for it, the examples
+//! and the out-of-workspace `perfbench/` benchmark are parsed as callers
+//! too (graph only: no rules, not counted as scanned).
 
-use crate::callgraph::{self, FileFns};
+use crate::callgraph::{self, DeadPub, FileFns};
 use crate::config::{self, LintConfig};
 use crate::lexer::{lex, Tok};
 use crate::parse::parse_items;
@@ -28,14 +31,8 @@ pub struct ScanReport {
     pub diagnostics: Vec<Diagnostic>,
     /// Files lexed and analyzed.
     pub files_scanned: usize,
-}
-
-impl ScanReport {
-    /// Diagnostics whose rule id starts with `family/`.
-    pub fn family(&self, family: &str) -> Vec<&Diagnostic> {
-        let prefix = format!("{family}/");
-        self.diagnostics.iter().filter(|d| d.rule.starts_with(&prefix)).collect()
-    }
+    /// Public library fns only test code calls; report-only, never gates.
+    pub dead_pub: Vec<DeadPub>,
 }
 
 /// Scans the workspace rooted at `root` under `config`'s scoping.
@@ -50,15 +47,19 @@ pub fn run_scan(root: &Path, config: &LintConfig) -> Result<ScanReport, String> 
     let mut report = ScanReport::default();
     let mut parsed: Vec<FileFns> = Vec::new();
     let mut facts: Vec<taint::FileFacts> = Vec::new();
-    for rel in files {
+    let callers = discover_callers(root)?;
+    let n_scanned = files.len();
+    for (i, rel) in files.into_iter().chain(callers).enumerate() {
         let rel_str = rel
             .to_str()
             .ok_or_else(|| format!("non-UTF-8 path under {}", root.display()))?
             .replace('\\', "/");
         let src = fs::read_to_string(root.join(&rel))
             .map_err(|e| format!("read {}: {e}", rel.display()))?;
-        report.files_scanned += 1;
-        report.diagnostics.extend(analyze_file(&rel_str, &src, config.scope_for(&rel_str)));
+        if i < n_scanned {
+            report.files_scanned += 1;
+            report.diagnostics.extend(analyze_file(&rel_str, &src, config.scope_for(&rel_str)));
+        }
         // Graph-pass inputs: parse items + call sites + facts while the
         // token stream is alive; everything kept is owned.
         let toks = lex(&src);
@@ -71,6 +72,7 @@ pub fn run_scan(root: &Path, config: &LintConfig) -> Result<ScanReport, String> 
     }
     let graph = callgraph::build(parsed);
     report.diagnostics.extend(taint::analyze(&graph, &facts, &config.serving_crates));
+    report.dead_pub = callgraph::dead_pub(&graph);
     report.diagnostics.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(report)
 }
@@ -91,6 +93,23 @@ fn discover_files(root: &Path) -> Result<Vec<PathBuf>, String> {
     if facade_src.is_dir() {
         collect_rs(&facade_src, root, &mut out)?;
     }
+    Ok(out)
+}
+
+/// Workspace-relative paths of caller-only sources (`examples/**`,
+/// `crates/*/examples/**`, `perfbench/src/**`): they feed the call graph
+/// as callers of library fns, and nothing else.
+fn discover_callers(root: &Path) -> Result<Vec<PathBuf>, String> {
+    let mut dirs = vec![root.join("examples"), root.join("perfbench/src")];
+    let crates_dir = root.join("crates");
+    if crates_dir.is_dir() {
+        dirs.extend(read_dir_sorted(&crates_dir)?.into_iter().map(|c| c.join("examples")));
+    }
+    let mut out = Vec::new();
+    for dir in dirs.iter().filter(|d| d.is_dir()) {
+        collect_rs(dir, root, &mut out)?;
+    }
+    out.sort();
     Ok(out)
 }
 

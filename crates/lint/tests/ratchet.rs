@@ -105,7 +105,7 @@ fn check_writes_versioned_json_report() {
     let out = lint(&ws, &["--check", "--report", report_path.to_str().expect("utf-8 tmpdir")]);
     assert_eq!(out.status.code(), Some(1), "report is written even when the check fails");
     let json = fs::read_to_string(&report_path).expect("report written");
-    assert!(json.contains("\"schema\": \"ferex-lint-v2\""), "{json}");
+    assert!(json.contains("\"schema\": \"ferex-lint-v3\""), "{json}");
     assert!(json.contains("\"rule\": \"panic-safety/unwrap\""), "{json}");
     assert!(json.contains("\"new_violations\": 2"), "{json}");
     assert!(json.contains("\"new_taint_findings\""), "{json}");

@@ -13,11 +13,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let mut engine = random_filled_engine(rows, dim, Backend::Ideal, 1)?;
             let query = random_query(dim, 99);
             let cost = engine.cost_report(&query)?;
-            let bits_per_row = dim * 2; // 2-bit symbols
-            let per_bit = cost.energy.total().value() / (rows * bits_per_row) as f64;
+            let per_bit = cost.energy.per_bit(rows, dim * 2); // 2-bit symbols
             println!(
                 "{rows:>4} {dim:>5} | {:>15.3} | {:>10.2} | {:>8.0}%",
-                per_bit * 1e15,
+                per_bit.value() * 1e15,
                 cost.delay.total().value() * 1e9,
                 cost.delay.scl_fraction() * 100.0
             );

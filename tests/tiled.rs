@@ -1,10 +1,8 @@
-//! Integration tests: tiled arrays and digital readout across crates.
+//! Integration tests: tiled arrays across crates.
 
-use ferex::analog::adc::AdcParams;
 use ferex::core::array::{Backend, CircuitConfig, FerexArray};
 use ferex::core::tile::TiledArray;
 use ferex::core::{find_minimal_cell, sizing_for, DistanceMatrix, DistanceMetric};
-use ferex::fefet::units::Amp;
 use ferex::fefet::Technology;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -66,38 +64,6 @@ fn tiled_noisy_errors_average_out() {
         // Hundreds of independent per-cell deviations: the aggregate error
         // stays within a few percent of the true distance.
         assert!((got - want).abs() / want.max(1.0) < 0.05, "row {r}: sensed {got}, true {want}");
-    }
-}
-
-/// Digital readout through the auto-ranged ADC preserves the LTA's nearest
-/// decision and yields codes proportional to distance.
-#[test]
-fn adc_readout_agrees_with_analog_decision() {
-    let tech = Technology::default();
-    let dm = DistanceMatrix::from_metric(DistanceMetric::Hamming, 2);
-    let enc = find_minimal_cell(&dm, &sizing_for(&tech)).expect("sizes").encoding;
-    let mut array = FerexArray::new(tech, enc, 32, Backend::Ideal);
-    let stored = random_vectors(6, 32, 5);
-    for v in &stored {
-        array.store(v.clone()).unwrap();
-    }
-    let query = random_vectors(1, 32, 6).remove(0);
-    let analog = array.search_batch_at(std::slice::from_ref(&query), &[0]).unwrap().remove(0);
-    let adc = AdcParams { bits: 12, full_scale: Amp(0.0), ..Default::default() };
-    let readout = array.read_digital(&query, &adc, 4).unwrap();
-    let digital_nearest =
-        readout.codes.iter().enumerate().min_by_key(|(_, &c)| c).map(|(i, _)| i).unwrap();
-    assert_eq!(digital_nearest, analog.nearest);
-    // Codes preserve the full distance ordering at 12-bit resolution.
-    let mut by_distance: Vec<usize> = (0..stored.len()).collect();
-    by_distance.sort_by(|&a, &b| analog.distances[a].total_cmp(&analog.distances[b]));
-    let mut by_code: Vec<usize> = (0..stored.len()).collect();
-    by_code.sort_by_key(|&i| (readout.codes[i], i));
-    // Orderings agree whenever distances are distinct.
-    for (da, ca) in by_distance.iter().zip(&by_code) {
-        if analog.distances[*da] != analog.distances[*ca] {
-            panic!("orderings diverge: distance-ranked {da} vs code-ranked {ca}");
-        }
     }
 }
 
